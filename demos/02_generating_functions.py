@@ -10,7 +10,6 @@ from promotion_sorting import (
     antichain,
     chain,
     cumulative_gf,
-    k_class_counts,
     ordinal_sum,
     sequence_shape,
     sorting_gf,
@@ -29,10 +28,11 @@ for name, p in [("3-chain", chain(3)),
     print(f"{name}: f = [{f}]  g = [{g}]  trimmed f = {f.trimmed()}")
 print()
 
-# k-sorted and k-tangled counts mirror each other
-counts = k_class_counts(chain(4))
-print("4-chain k-sorted :", counts.k_sorted)
-print("4-chain k-tangled:", counts.k_tangled)
+# k-sorted counts are the coefficients of f; k-tangled counts (order
+# n - 1 - k) are the same coefficients read backwards
+k_sorted = sorting_gf(chain(4)).coeffs
+print("4-chain k-sorted :", k_sorted)
+print("4-chain k-tangled:", k_sorted[::-1])
 print()
 
 # the top coefficient of f is the tangled count, also available per element

@@ -6,10 +6,9 @@ function composition rules, and an isomorphism-free catalog harness for
 checking the outstanding bound conjectures.
 """
 
-from .enumeration import (BudgetError, GenFun, KClassCounts, SequenceShape,
-                          TangleReport, cumulative_gf, k_class_counts,
-                          sequence_shape, sorting_gf, tangled_report,
-                          unrank_permutation)
+from .enumeration import (BudgetError, GenFun, SequenceShape, TangleReport,
+                          cumulative_gf, sequence_shape, sorting_gf,
+                          tangled_report, unrank_permutation)
 from .families import (FiberError, ForestError, InflationSpec, ShoelaceSpec,
                        WParams, build_inflation, build_shoelace,
                        build_w_poset, inflation_spec_from_json, w_as_shoelace)
@@ -23,36 +22,12 @@ from .harness import (ConjectureReport, PosetCatalog, ScanReport,
                       canonicalize, check_conjectures, generate_posets,
                       load_catalog, save_catalog, scan_catalog)
 from .posets import (CycleError, DisconnectedError, Poset, SpecError,
-                     antichain, basins, build_from_covers, chain,
-                     disjoint_union, funnel_and_basins, is_loi_complete,
-                     load_poset, ordinal_sum, poset_from_json, poset_to_json,
-                     save_poset)
+                     antichain, basins, chain, disjoint_union,
+                     funnel_and_basins, is_loi_complete, load_poset,
+                     ordinal_sum, poset_from_json, poset_to_json, save_poset)
 from .promotion import (InternalError, PromotionStep, RangeError,
                         format_labeling, frozen_set, is_natural, is_tangled,
                         lift_labeling, order, parse_labeling, promote,
                         promotion_path, standardize, validate_labeling)
 
 __version__ = "1.0.0"
-
-__all__ = [
-    "BudgetError", "CoeffFamily", "CompositionMatrices", "ConjectureReport",
-    "CycleError", "DisconnectedError", "DistinctnessError", "FiberError",
-    "ForestError", "GenFun", "InflationSpec", "InternalError",
-    "KClassCounts", "ModeError", "ParamError", "PedestalTails", "Poset",
-    "PosetCatalog", "PromotionStep", "RangeError", "ScanReport",
-    "SequenceShape", "ShoelaceSpec", "SpecError", "TangleReport", "WParams",
-    "antichain", "attach_antichain", "basins", "broom_f",
-    "build_from_covers", "build_inflation", "build_shoelace", "build_w_poset",
-    "canonicalize", "chain", "check_conjectures", "composition_matrices",
-    "cumulative_gf", "disjoint_union", "format_labeling", "frozen_set",
-    "funnel_and_basins", "generate_posets", "inflation_spec_from_json",
-    "irf_bound", "irf_tangled_by_element", "is_loi_complete", "is_natural",
-    "is_tangled", "k_class_counts", "lift_labeling", "load_catalog",
-    "load_poset", "order", "ordinal_sum", "ordinal_sum_antichains_g",
-    "parse_labeling", "pedestal_coeffs", "poset_from_json", "poset_to_json",
-    "promote", "promotion_path", "save_catalog", "save_poset",
-    "scan_catalog", "sequence_shape", "sorting_gf", "standardize",
-    "tangled_report", "unrank_permutation", "validate_labeling",
-    "w_as_shoelace", "w_poset_tangled", "weak_order_covers",
-    "weak_order_family", "weak_order_leq",
-]

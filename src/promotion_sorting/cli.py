@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 user error (bad flags, malformed files, domain
 errors), 2 budget refusal (pass --force to override where supported),
-3 conjecture counterexample found (verify only).
+3 counterexample found (a conjecture in verify, or a closed form that
+disagrees with enumeration in wposet --enumerate).
 """
 
 from __future__ import annotations
@@ -76,6 +77,7 @@ def export_dot(p: Poset, labels: Optional[Sequence[int]] = None) -> str:
         text = p.names[e] if p.names else str(e)
         if labels is not None:
             text = f"{text}:{labels[e]}"
+        text = text.replace("\\", "\\\\").replace('"', '\\"')
         lines.append(f'  n{e} [label="{text}"];')
     for a, b in p.covers:
         lines.append(f"  n{a} -> n{b};")
@@ -162,7 +164,8 @@ def _cmd_wposet(args) -> int:
         report = tangled_report(p, workers=args.threads, force=args.force)
         print(f"enumerated: {report.total}")
         if report.total != count:
-            raise RuntimeError("closed form and enumeration disagree")
+            print(f"mismatch: closed form {count}, enumeration {report.total}")
+            return 3
     return 0
 
 

@@ -13,12 +13,14 @@ by accident.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from itertools import accumulate, islice, permutations
 from multiprocessing import Pool
 from typing import Sequence
 
 from .posets import Poset, basins
+from .promotion import _advance, _is_natural_pos
 
 DEFAULT_MAX_N = 9
 
@@ -116,41 +118,35 @@ def _split_ranges(total: int, parts: int) -> list[tuple[int, int]]:
 def _order_histogram_chunk(args) -> list[int]:
     """Count sorting times over the lexicographic rank range [lo, hi)."""
     p, lo, hi = args
-    n = p.n
-    above = p.above
-    covers = p.covers
-    counts = [0] * n
-    rank = [0] * n
-    for perm in islice(permutations(range(n)), lo, hi):
+    above, below = p.above, p.below
+    counts = [0] * p.n
+    for perm in islice(permutations(range(p.n)), lo, hi):
         pos = list(perm)
         steps = 0
-        while True:
-            for i, e in enumerate(pos):
-                rank[e] = i
-            if all(rank[a] < rank[b] for a, b in covers):
-                break
-            x = pos[0]
-            mask = above[x]
-            scan = 1
-            while mask:
-                while not (mask >> pos[scan]) & 1:
-                    scan += 1
-                y = pos[scan]
-                pos[scan] = x
-                x = y
-                mask = above[x]
-                scan += 1
-            del pos[0]
-            pos.append(x)
+        while not _is_natural_pos(below, pos):
+            _advance(above, pos)
             steps += 1
         counts[steps] += 1
     return counts
 
 
+def _pool_size(workers: int) -> int:
+    """``workers`` capped at the machine's CPU count; rejects counts below 1."""
+    if workers < 1:
+        raise ValueError(f"worker count must be at least 1, got {workers}")
+    return min(workers, os.cpu_count() or 1)
+
+
 def _run_chunks(worker, tasks, workers: int):
-    if workers <= 1 or len(tasks) <= 1:
+    """``[worker(t) for t in tasks]``, on a process pool when that can help.
+
+    The pool gets at most one process per task and per CPU; with a single
+    process the tasks run in this process and no pool starts.
+    """
+    processes = min(_pool_size(workers), len(tasks))
+    if processes <= 1:
         return [worker(t) for t in tasks]
-    with Pool(processes=workers) as pool:
+    with Pool(processes=processes) as pool:
         return pool.map(worker, tasks)
 
 
@@ -163,7 +159,7 @@ def sorting_gf(p: Poset, workers: int = 1, force: bool = False) -> GenFun:
     """
     _check_budget(p.n, force)
     total = math.factorial(p.n)
-    tasks = [(p, lo, hi) for lo, hi in _split_ranges(total, workers)]
+    tasks = [(p, lo, hi) for lo, hi in _split_ranges(total, _pool_size(workers))]
     results = _run_chunks(_order_histogram_chunk, tasks, workers)
     merged = [sum(col) for col in zip(*results)]
     return GenFun(tuple(merged))
@@ -214,19 +210,7 @@ def _tangled_chunk(args) -> list[int]:
             runner_up = pos[-1]
             pos.append(basin)
             for _ in range(steps):
-                x = pos[0]
-                mask = above[x]
-                scan = 1
-                while mask:
-                    while not (mask >> pos[scan]) & 1:
-                        scan += 1
-                    y = pos[scan]
-                    pos[scan] = x
-                    x = y
-                    mask = above[x]
-                    scan += 1
-                del pos[0]
-                pos.append(x)
+                _advance(above, pos)
             if (up_basin >> pos[0]) & 1:
                 by_element[runner_up] += 1
     return by_element
@@ -242,26 +226,12 @@ def tangled_report(p: Poset, workers: int = 1, force: bool = False) -> TangleRep
     if p.n < 2:
         raise ValueError("tangled labelings need at least two elements")
     _check_budget(p.n, force)
+    parts = _pool_size(workers)
     basin_list = basins(p)
     if not basin_list:
         return TangleReport(0, (0,) * p.n)
     total_space = len(basin_list) * math.factorial(p.n - 1)
-    tasks = [(p, basin_list, lo, hi) for lo, hi in _split_ranges(total_space, workers)]
+    tasks = [(p, basin_list, lo, hi) for lo, hi in _split_ranges(total_space, parts)]
     results = _run_chunks(_tangled_chunk, tasks, workers)
     by_element = tuple(sum(col) for col in zip(*results))
     return TangleReport(sum(by_element), by_element)
-
-
-# -- reindexed views ------------------------------------------------------------
-
-@dataclass(frozen=True)
-class KClassCounts:
-    """k_sorted[k] counts order-k labelings; k_tangled[k] counts order n-k-1."""
-
-    k_sorted: tuple
-    k_tangled: tuple
-
-
-def k_class_counts(p: Poset, workers: int = 1, force: bool = False) -> KClassCounts:
-    coeffs = sorting_gf(p, workers=workers, force=force).coeffs
-    return KClassCounts(k_sorted=coeffs, k_tangled=tuple(reversed(coeffs)))

@@ -131,11 +131,11 @@ def irf_bound(spec: InflationSpec) -> Fraction:
     With n elements and m leaves the value is 1 when n = 1 and otherwise at
     most (n - m)/(n - 1), strictly below it as soon as m > 1.
     """
+    build_inflation(spec)
     parents = spec.parents
     children, roots = _forest_children(parents)
     if len(roots) != 1:
         raise ValueError("the leaf-sum bound applies to a single rooted tree")
-    build_inflation(spec)
     weights = [fiber.n for fiber in spec.fibers]
     sub = _subtree_weights(parents, children, weights)
     root = roots[0]

@@ -13,10 +13,10 @@ from __future__ import annotations
 import gzip
 import math
 from dataclasses import dataclass
-from multiprocessing import Pool
 from typing import Optional, Sequence
 
-from .enumeration import BudgetError, _check_budget, sequence_shape, sorting_gf, tangled_report
+from .enumeration import (_check_budget, _run_chunks, sequence_shape, sorting_gf,
+                          tangled_report)
 from .posets import Poset, poset_from_json, poset_to_json
 
 CANON_MAX_N = 10
@@ -330,11 +330,7 @@ def scan_catalog(catalog: PosetCatalog, checks: Sequence[str] = ALL_CHECKS,
         if check not in _CHECK_FLAGS:
             raise ValueError(f"unknown check {check!r}; pick from {sorted(_CHECK_FLAGS)}")
     tasks = [(p, checks, unimodal, force) for p in catalog.entries]
-    if workers > 1 and len(tasks) > 1:
-        with Pool(processes=workers) as pool:
-            results = pool.map(_scan_one, tasks)
-    else:
-        results = [_scan_one(t) for t in tasks]
+    results = _run_chunks(_scan_one, tasks, workers)
     failures = tuple(
         (idx, report) for idx, (ok, report, _) in enumerate(results) if not ok)
     flagged = tuple(

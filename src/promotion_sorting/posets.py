@@ -31,7 +31,7 @@ def _validate_covers(n: int, covers: Iterable[Sequence[int]]) -> list[tuple[int,
     pairs = []
     for pair in covers:
         a, b = pair
-        if not (isinstance(a, int) and isinstance(b, int)):
+        if type(a) is not int or type(b) is not int:  # bool is an int subclass
             raise SpecError(f"cover pair {pair!r} is not a pair of integers")
         if not (0 <= a < n and 0 <= b < n):
             raise IndexError(f"cover pair ({a}, {b}) out of range for n={n}")
@@ -198,18 +198,7 @@ def _bits(mask: int):
         mask ^= low
 
 
-def bits(mask: int) -> list[int]:
-    """Set bit positions of a bitmask, ascending."""
-    return list(_bits(mask))
-
-
 # -- constructors ----------------------------------------------------------
-
-def build_from_covers(n: int, covers: Iterable[Sequence[int]],
-                      names: Optional[Sequence[str]] = None) -> Poset:
-    """Build a poset from any acyclic generating relation."""
-    return Poset(n, covers, names)
-
 
 def chain(n: int) -> Poset:
     """The n-element chain 0 < 1 < ... < n-1."""
@@ -314,10 +303,15 @@ def poset_from_json(text: str) -> Poset:
         raise SpecError('poset document must carry "n" and "covers"')
     n = doc["n"]
     covers = doc["covers"]
+    names = doc.get("names")
+    if type(n) is not int:
+        raise SpecError(f'"n" must be an integer, got {n!r}')
     if not isinstance(covers, list) or not all(
             isinstance(c, list) and len(c) == 2 for c in covers):
         raise SpecError('"covers" must be a list of [i, j] pairs')
-    return Poset(n, [tuple(c) for c in covers], doc.get("names"))
+    if names is not None and not isinstance(names, list):
+        raise SpecError(f'"names" must be a list, got {names!r}')
+    return Poset(n, [tuple(c) for c in covers], names)
 
 
 def save_poset(p: Poset, path) -> None:

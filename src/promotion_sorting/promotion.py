@@ -10,7 +10,8 @@ labeling is the order (or sorting time) of the labeling; it never exceeds
 ``n - 1``, and labelings attaining ``n - 1`` are called tangled.
 
 The hot loops work on position arrays: ``pos[i]`` is the element holding
-label ``i + 1``.  The enumeration module reuses these kernels verbatim.
+label ``i + 1``.  The enumeration module runs these same two kernels,
+``_advance`` and ``_is_natural_pos``, in its chunk loops.
 """
 
 from __future__ import annotations
@@ -68,12 +69,13 @@ def format_labeling(labels: Iterable[int]) -> str:
 
 # -- the promotion kernel ----------------------------------------------------
 
-def _advance(above: Sequence[int], pos: list[int]) -> list[int]:
-    """One promotion step on a position array; returns the new array.
+def _advance(above: Sequence[int], pos: list[int]) -> None:
+    """One promotion step on a position array, in place.
 
     The scan index only moves forward: after swapping label 1 up to element
     ``y``, every label on an element above ``y`` is larger than the label
-    just swapped, so earlier positions never need revisiting.
+    just swapped, so earlier positions never need revisiting.  The step
+    overwrites exactly the positions it swaps, then shifts the array by one.
     """
     x = pos[0]
     mask = above[x]
@@ -86,35 +88,22 @@ def _advance(above: Sequence[int], pos: list[int]) -> list[int]:
         x = y
         mask = above[x]
         scan += 1
-    out = pos[1:]
-    out.append(x)
-    return out
+    del pos[0]
+    pos.append(x)
 
 
-def _advance_with_chain(above: Sequence[int], pos: list[int]) -> tuple[list[int], tuple[int, ...]]:
-    x = pos[0]
-    chain = [x]
-    mask = above[x]
-    scan = 1
-    while mask:
-        while not (mask >> pos[scan]) & 1:
-            scan += 1
-        y = pos[scan]
-        pos[scan] = x
-        x = y
-        chain.append(x)
-        mask = above[x]
-        scan += 1
-    out = pos[1:]
-    out.append(x)
-    return out, tuple(chain)
+def _is_natural_pos(below: Sequence[int], pos: Sequence[int]) -> bool:
+    """Whether every prefix of ``pos`` is a lower order ideal.
 
-
-def _is_natural_pos(p: Poset, pos: Sequence[int]) -> bool:
-    rank = [0] * p.n
-    for i, element in enumerate(pos):
-        rank[element] = i
-    return all(rank[a] < rank[b] for a, b in p.covers)
+    Equivalent to every cover increasing the label, but exits at the first
+    element placed before something below it.
+    """
+    seen = 0
+    for e in pos:
+        if below[e] & ~seen:
+            return False
+        seen |= 1 << e
+    return True
 
 
 # -- public operations --------------------------------------------------------
@@ -134,14 +123,18 @@ class PromotionStep:
 def promote(p: Poset, labels: Sequence[int]) -> PromotionStep:
     """Apply one extended promotion step."""
     labels = validate_labeling(p, labels)
-    pos, chain = _advance_with_chain(p.above, positions_of(labels))
+    before = positions_of(labels)
+    pos = before.copy()
+    _advance(p.above, pos)
+    # the walk starts at label 1's element and visits each element it swaps
+    # out, in scan order; the step overwrites exactly those positions
+    chain = (before[0],) + tuple(e for e, moved in zip(before[1:], pos) if moved != e)
     return PromotionStep(labels_of(pos), chain)
 
 
 def is_natural(p: Poset, labels: Sequence[int]) -> bool:
     """Whether every cover relation increases the label."""
-    labels = validate_labeling(p, labels)
-    return all(labels[a] < labels[b] for a, b in p.covers)
+    return _is_natural_pos(p.below, positions_of(validate_labeling(p, labels)))
 
 
 def promotion_path(p: Poset, labels: Sequence[int]) -> list[tuple[int, ...]]:
@@ -149,10 +142,10 @@ def promotion_path(p: Poset, labels: Sequence[int]) -> list[tuple[int, ...]]:
     labels = validate_labeling(p, labels)
     path = [labels]
     pos = positions_of(labels)
-    while not _is_natural_pos(p, pos):
+    while not _is_natural_pos(p.below, pos):
         if len(path) > p.n - 1:
             raise InternalError("promotion failed to sort within n - 1 steps")
-        pos = _advance(p.above, pos)
+        _advance(p.above, pos)
         path.append(labels_of(pos))
     return path
 
@@ -162,11 +155,11 @@ def order(p: Poset, labels: Sequence[int]) -> int:
     labels = validate_labeling(p, labels)
     pos = positions_of(labels)
     steps = 0
-    while not _is_natural_pos(p, pos):
+    while not _is_natural_pos(p.below, pos):
         steps += 1
         if steps > p.n - 1:
             raise InternalError("promotion failed to sort within n - 1 steps")
-        pos = _advance(p.above, pos)
+        _advance(p.above, pos)
     return steps
 
 
@@ -219,7 +212,7 @@ def is_tangled(p: Poset, labels: Sequence[int]) -> bool:
         return False
     pos = positions_of(labels)
     for _ in range(p.n - 2):
-        pos = _advance(p.above, pos)
+        _advance(p.above, pos)
     return bool((p.above[holder] >> pos[0]) & 1)
 
 

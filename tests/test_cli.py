@@ -98,6 +98,11 @@ def test_irf(capsys, tmp_path):
     code, out, err = run(capsys, "irf", "--spec", str(spec_path))
     assert code == 1
     assert "--element" in err
+    # the forest is validated before its roots are counted
+    spec_path.write_text(json.dumps({"parents": [0], "fibers": [{"n": 1, "covers": []}]}))
+    code, _, err = run(capsys, "irf", "--spec", str(spec_path), "--bound")
+    assert code == 1
+    assert "cycle" in err
 
 
 def test_wposet(capsys):
@@ -105,6 +110,15 @@ def test_wposet(capsys):
                        "--enumerate")
     assert code == 0
     assert out.splitlines() == ["570", "enumerated: 570"]
+
+
+def test_wposet_mismatch_exits_three(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "w_poset_tangled", lambda a, b, c, d: 571)
+    code, out, _ = run(capsys, "wposet", "--a", "1", "--b", "1", "--c", "1", "--d", "1",
+                       "--enumerate", "--threads", "1")
+    assert code == 3
+    assert out.splitlines() == ["571", "enumerated: 570",
+                                "mismatch: closed form 571, enumeration 570"]
 
 
 def test_attach(capsys):
@@ -226,6 +240,12 @@ def test_export_dot_function_stability():
     assert export_dot(LAMBDA) == export_dot(Poset(3, [(0, 2), (1, 2)]))
 
 
+def test_export_dot_escapes_names():
+    text = export_dot(Poset(2, [(0, 1)], names=['a"b', "c\\"]))
+    assert 'n0 [label="a\\"b"];' in text
+    assert 'n1 [label="c\\\\"];' in text
+
+
 def test_user_errors(capsys, lam_file, tmp_path):
     code, _, err = run(capsys, "order", "--poset", lam_file, "--labeling", "1,2")
     assert code == 1 and "error:" in err
@@ -240,6 +260,11 @@ def test_user_errors(capsys, lam_file, tmp_path):
     assert code == 1
     code, _, err = run(capsys, "wposet", "--a", "0", "--b", "1", "--c", "1", "--d", "1")
     assert code == 1
+    for threads in ("0", "-3"):
+        code, _, err = run(capsys, "verify", "--max-n", "3", "--threads", threads)
+        assert code == 1 and "worker count" in err
+        code, _, err = run(capsys, "gf", "--poset", lam_file, "--threads", threads)
+        assert code == 1 and "worker count" in err
 
 
 def test_budget_exit(capsys, tmp_path):

@@ -12,7 +12,6 @@ from promotion_sorting import (
     antichain,
     chain,
     cumulative_gf,
-    k_class_counts,
     ordinal_sum,
     sequence_shape,
     sorting_gf,
@@ -38,11 +37,13 @@ def test_t222_gfs():
 
 def test_antichain_gf():
     assert sorting_gf(antichain(3)).coeffs == (6, 0, 0)
+    assert sorting_gf(antichain(2)).coeffs == (2, 0)
     assert cumulative_gf(antichain(3)).coeffs == (6, 6, 6)
 
 
 def test_two_chain_cumulative():
     assert sorting_gf(chain(2)).coeffs == (1, 1)
+    assert sorting_gf(chain(3)).coeffs == (1, 3, 2)
     assert cumulative_gf(chain(2)).coeffs == (1, 2)
 
 
@@ -82,6 +83,44 @@ def test_worker_determinism():
         assert tangled_report(p, workers=2) == tangled_report(p)
 
 
+def test_worker_count_is_clamped(monkeypatch):
+    # a fake pool records the process count it is asked for and runs the
+    # tasks in this process, so nothing is ever spawned
+    from promotion_sorting import enumeration, generate_posets, scan_catalog
+
+    asked = []
+
+    class FakePool:
+        def __init__(self, processes):
+            asked.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, worker, tasks):
+            return [worker(t) for t in tasks]
+
+    monkeypatch.setattr(enumeration, "Pool", FakePool)
+    monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 3)
+    cat = generate_posets(4, connected=True)
+    assert sorting_gf(T222, workers=64) == sorting_gf(T222)
+    assert scan_catalog(cat, workers=64) == scan_catalog(cat)
+    monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 64)
+    assert scan_catalog(cat, workers=1000) == scan_catalog(cat)
+    assert asked == [3, 3, len(cat)]
+    for bad in (0, -3):
+        with pytest.raises(ValueError):
+            sorting_gf(T222, workers=bad)
+        with pytest.raises(ValueError):
+            tangled_report(T222, workers=bad)
+        with pytest.raises(ValueError):
+            scan_catalog(cat, workers=bad)
+    assert asked == [3, 3, len(cat)]
+
+
 def test_tangled_lambda():
     rep = tangled_report(LAMBDA)
     assert rep.total == 0
@@ -112,15 +151,6 @@ def test_tangled_matches_top_coefficient():
 def test_tangled_single_element():
     with pytest.raises(ValueError):
         tangled_report(Poset(1, []))
-
-
-def test_k_class_counts():
-    kc = k_class_counts(chain(3))
-    assert kc.k_sorted == (1, 3, 2)
-    assert kc.k_tangled == (2, 3, 1)
-    kc2 = k_class_counts(antichain(2))
-    assert kc2.k_sorted == (2, 0)
-    assert kc2.k_tangled == (0, 2)
 
 
 def test_sequence_shape():
@@ -157,5 +187,3 @@ def test_budget_refusal():
         sorting_gf(big)
     with pytest.raises(BudgetError):
         tangled_report(big)
-    with pytest.raises(BudgetError):
-        k_class_counts(big)

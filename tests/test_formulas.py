@@ -23,7 +23,6 @@ from promotion_sorting import (
     cumulative_gf,
     irf_bound,
     irf_tangled_by_element,
-    k_class_counts,
     ordinal_sum,
     ordinal_sum_antichains_g,
     pedestal_coeffs,

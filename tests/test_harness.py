@@ -17,7 +17,6 @@ from promotion_sorting import (
     Poset,
     WParams,
     antichain,
-    build_from_covers,
     build_w_poset,
     canonicalize,
     chain,
@@ -271,7 +270,3 @@ def test_scan_rejects_unknown_check():
     with pytest.raises(ValueError):
         scan_catalog(cat, checks=("n-3",))
 
-
-def test_build_from_covers_matches_constructor():
-    p = build_from_covers(4, [(0, 1), (1, 2), (0, 3)])
-    assert p.covers == Poset(4, [(0, 1), (1, 2), (0, 3)]).covers

@@ -8,9 +8,9 @@ from promotion_sorting import (
     CycleError,
     DisconnectedError,
     Poset,
+    SpecError,
     antichain,
     basins,
-    build_from_covers,
     chain,
     disjoint_union,
     funnel_and_basins,
@@ -21,7 +21,7 @@ from promotion_sorting import (
     poset_to_json,
     save_poset,
 )
-from promotion_sorting.posets import bits
+from promotion_sorting.posets import _bits
 
 LAMBDA = Poset(3, [(0, 2), (1, 2)])
 
@@ -75,13 +75,8 @@ def test_bad_cover_indices():
         Poset(2, [(0, 5)])
     with pytest.raises(ValueError):
         Poset(0, [])
-
-
-def test_build_from_covers_names():
-    p = build_from_covers(2, [(0, 1)], names=["lo", "hi"])
-    assert p.names == ("lo", "hi")
     with pytest.raises(ValueError):
-        build_from_covers(2, [(0, 1)], names=["only-one"])
+        Poset(2, [(0, 1)], names=["only-one"])
 
 
 def test_heights_by_longest_chain():
@@ -114,9 +109,9 @@ def test_disjoint_union():
 
 def test_ideals_are_bitmasks():
     c = chain(3)
-    assert bits(c.down_ideal(2)) == [0, 1, 2]
-    assert bits(c.up_ideal(1)) == [1, 2]
-    assert bits(LAMBDA.down_ideal(2)) == [0, 1, 2]
+    assert list(_bits(c.down_ideal(2))) == [0, 1, 2]
+    assert list(_bits(c.up_ideal(1))) == [1, 2]
+    assert list(_bits(LAMBDA.down_ideal(2))) == [0, 1, 2]
 
 
 def test_induced_subposet():
@@ -154,9 +149,9 @@ def test_funnel_figure():
 
 def test_funnel_figure_subideals():
     # two basins below a, a single basin below b
-    sub_a, kept_a = FUNNEL.induced(bits(FUNNEL.down_ideal(0)))
+    sub_a, kept_a = FUNNEL.induced(_bits(FUNNEL.down_ideal(0)))
     assert sorted(kept_a[i] for i in basins(sub_a)) == [6, 8]
-    sub_b, kept_b = FUNNEL.induced(bits(FUNNEL.down_ideal(1)))
+    sub_b, kept_b = FUNNEL.induced(_bits(FUNNEL.down_ideal(1)))
     assert [kept_b[i] for i in basins(sub_b)] == [6]
 
 
@@ -177,7 +172,7 @@ def test_loi_figure():
 
 
 def brute_loi(p, x):
-    down = bits(p.down_ideal(x))
+    down = list(_bits(p.down_ideal(x)))
     for z in range(p.n):
         if any(p.comparable(z, y) for y in down) and not (p.comparable(z, x)):
             return False
@@ -215,6 +210,13 @@ def test_json_rejects_garbage():
         poset_from_json('{"covers": [[0, 1]]}')
     with pytest.raises(ValueError):
         poset_from_json('{"n": 2, "covers": [[0, 1], [1, 0]]}')
+    # bool is an int subclass, and a string is a sequence of names
+    with pytest.raises(SpecError):
+        poset_from_json('{"n": true, "covers": []}')
+    with pytest.raises(SpecError):
+        poset_from_json('{"n": 2, "covers": [[true, false]]}')
+    with pytest.raises(SpecError):
+        poset_from_json('{"n": 2, "covers": [], "names": "ab"}')
 
 
 def test_save_load(tmp_path):
