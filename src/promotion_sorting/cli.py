@@ -14,12 +14,14 @@ import os
 import sys
 from typing import Optional, Sequence
 
-from .enumeration import BudgetError, GenFun, sorting_gf, tangled_report
+from .enumeration import (BudgetError, GenFun, _check_budget, sorting_gf,
+                          tangled_report)
 from .families import WParams, build_w_poset, inflation_spec_from_json
 from .formulas import (attach_antichain, broom_f, irf_bound,
                        irf_tangled_by_element, ordinal_sum_antichains_g,
                        pedestal_coeffs, w_poset_tangled, weak_order_family)
-from .harness import ALL_CHECKS, generate_posets, save_catalog, scan_catalog
+from .harness import (ALL_CHECKS, PosetCatalog, generate_posets, poset_levels,
+                      save_catalog, scan_catalog)
 from .posets import Poset, load_poset, poset_to_json
 from .promotion import (format_labeling, lift_labeling, order, parse_labeling,
                         promote, validate_labeling)
@@ -235,13 +237,14 @@ def _cmd_gen_posets(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.max_n > VERIFY_DEFAULT_MAX_N and not args.force:
-        raise BudgetError(
-            f"sweeps beyond n = {VERIFY_DEFAULT_MAX_N} take a while; pass --force to run")
+    _check_budget(args.max_n, args.force, cap=VERIFY_DEFAULT_MAX_N, what="verify sweep")
     checks = ALL_CHECKS if args.conjecture == "all" else (args.conjecture,)
     found = 0
-    for n in range(2, args.max_n + 1):
-        catalog = generate_posets(n, connected=not args.all_posets, force=args.force)
+    for n, level in enumerate(poset_levels(args.max_n, force=args.force), start=1):
+        if n < 2:
+            continue
+        entries = tuple(p for p in level if args.all_posets or p.is_connected())
+        catalog = PosetCatalog(n=n, connected_only=not args.all_posets, entries=entries)
         report = scan_catalog(catalog, checks=checks, unimodal=args.unimodal,
                               workers=args.threads, force=args.force)
         line = f"n={n}: {report.scanned} posets, {len(report.failures)} counterexamples"

@@ -20,7 +20,7 @@ from multiprocessing import Pool
 from typing import Sequence
 
 from .posets import Poset, basins
-from .promotion import _advance, _is_natural_pos
+from .promotion import InternalError, _advance, _is_natural_pos
 
 DEFAULT_MAX_N = 9
 
@@ -33,7 +33,7 @@ def _check_budget(n: int, force: bool, cap: int = DEFAULT_MAX_N, what: str = "en
     if n > cap and not force:
         raise BudgetError(
             f"{what} over {n} elements exceeds the default budget of {cap}; "
-            f"pass force=True to run anyway")
+            f"pass force=True (--force on the command line) to run anyway")
 
 
 # -- generating function container -------------------------------------------
@@ -122,10 +122,12 @@ def _order_histogram_chunk(args) -> list[int]:
     counts = [0] * p.n
     for perm in islice(permutations(range(p.n)), lo, hi):
         pos = list(perm)
-        steps = 0
-        while not _is_natural_pos(below, pos):
+        for steps in range(p.n):
+            if _is_natural_pos(below, pos):
+                break
             _advance(above, pos)
-            steps += 1
+        else:
+            raise InternalError("promotion failed to sort within n - 1 steps")
         counts[steps] += 1
     return counts
 

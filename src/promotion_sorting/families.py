@@ -14,9 +14,9 @@ Three families appear throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from typing import Mapping
 
-from .posets import DisconnectedError, Poset, SpecError
+from .posets import DisconnectedError, Poset, SpecError, poset_from_doc
 
 
 class FiberError(ValueError):
@@ -172,8 +172,9 @@ class InflationSpec:
     """A rooted forest plus one fiber poset per node.
 
     ``parents[q]`` is the node covering ``q`` (roots carry ``None``); roots
-    are the maximal elements of the forest order.  ``fibers[q]`` replaces
-    node ``q`` and must have a unique minimal element.
+    are the maximal elements of the forest order.  Parents must be ``int``
+    node indices (a ``bool`` is not accepted).  ``fibers[q]`` replaces node
+    ``q`` and must have a unique minimal element.
     """
 
     parents: tuple
@@ -183,33 +184,27 @@ class InflationSpec:
         object.__setattr__(self, "parents", tuple(self.parents))
         object.__setattr__(self, "fibers", tuple(self.fibers))
 
-    @property
-    def node_count(self) -> int:
-        return len(self.parents)
 
+def _validate_forest(parents: tuple) -> None:
+    """Check that the parent map describes a rooted forest.
 
-def _validate_forest(parents: tuple) -> list[int]:
-    """Check the parent map and return the node depth (root depth 0)."""
+    Every parent is ``None`` or an in-range ``int`` node index, and every
+    node reaches a root within r - 1 steps; a longer walk repeats a node.
+    """
     r = len(parents)
     if r == 0:
         raise ForestError("a forest needs at least one node")
-    depth = [-1] * r
+    for q, par in enumerate(parents):
+        if par is not None and (type(par) is not int or not 0 <= par < r):
+            raise ForestError(f"parent of node {q} is {par!r}")
     for q in range(r):
-        trail = []
-        node: Optional[int] = q
-        while node is not None and depth[node] < 0:
-            trail.append(node)
-            nxt = parents[node]
-            if nxt is not None:
-                if not isinstance(nxt, int) or not 0 <= nxt < r:
-                    raise ForestError(f"parent of node {node} is {nxt!r}")
-                if nxt in trail:
-                    raise ForestError("parent map contains a cycle")
-            node = nxt
-        base = 0 if node is None else depth[node]
-        for off, seen in enumerate(reversed(trail)):
-            depth[seen] = base + off + (0 if node is None else 1)
-    return depth
+        node = q
+        for _ in range(r):
+            if parents[node] is None:
+                break
+            node = parents[node]
+        else:
+            raise ForestError("parent map contains a cycle")
 
 
 def build_inflation(spec: InflationSpec) -> tuple[Poset, tuple[int, ...]]:
@@ -251,14 +246,16 @@ def build_inflation(spec: InflationSpec) -> tuple[Poset, tuple[int, ...]]:
 
 
 def inflation_spec_from_json(doc: Mapping) -> InflationSpec:
-    """Parse ``{"parents": [...], "fibers": [poset documents]}``."""
+    """Parse ``{"parents": [...], "fibers": [poset documents]}``.
+
+    Parents must be integers or ``null`` and describe a rooted forest
+    (:class:`ForestError` otherwise); each fiber is checked like any other
+    poset document by :func:`~promotion_sorting.posets.poset_from_doc`.
+    """
     if not isinstance(doc, Mapping) or "parents" not in doc or "fibers" not in doc:
         raise SpecError('inflation document must carry "parents" and "fibers"')
-    parents = tuple(None if v is None else int(v) for v in doc["parents"])
-    fibers = []
-    for entry in doc["fibers"]:
-        if not isinstance(entry, Mapping) or "n" not in entry or "covers" not in entry:
-            raise SpecError('each fiber must be a poset document with "n" and "covers"')
-        fibers.append(Poset(entry["n"], [tuple(c) for c in entry["covers"]],
-                            entry.get("names")))
-    return InflationSpec(parents=parents, fibers=tuple(fibers))
+    parents, fibers = doc["parents"], doc["fibers"]
+    if not isinstance(parents, list) or not isinstance(fibers, list):
+        raise SpecError('"parents" and "fibers" must be lists')
+    _validate_forest(tuple(parents))
+    return InflationSpec(parents=parents, fibers=[poset_from_doc(f) for f in fibers])

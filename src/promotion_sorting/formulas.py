@@ -33,55 +33,42 @@ class DistinctnessError(ValueError):
 
 # -- tangled counts for inflated rooted forests --------------------------------
 
-def _forest_children(parents: Sequence[Optional[int]]) -> tuple[list, list]:
-    children: list[list[int]] = [[] for _ in parents]
-    roots = []
-    for q, par in enumerate(parents):
-        if par is None:
-            roots.append(q)
-        else:
-            children[par].append(q)
-    return children, roots
+def _leaf_sum(parents: Sequence[Optional[int]], weights: Sequence[int],
+              target: int) -> tuple[Fraction, int]:
+    """Leaf sum of chain products below ``target``, and its subtree weight.
 
-
-def _subtree_weights(parents, children, weights) -> list[int]:
-    sub = list(weights)
-    seen = [len(children[q]) for q in range(len(parents))]
-    stack = [q for q in range(len(parents)) if not children[q]]
-    while stack:
-        q = stack.pop()
-        par = parents[q]
-        if par is not None:
-            sub[par] += sub[q]
-            seen[par] -= 1
-            if seen[par] == 0:
-                stack.append(par)
-    return sub
-
-
-def _chain_product(chain, sub, weights) -> Fraction:
-    """Product of (b-1)/(c-1) along a leaf-to-ancestor chain.
-
-    b is the weight below and including the previous chain node, c the
-    weight strictly below the current one.  A weight-1 step forces b = c = 1
-    and contributes the empty factor 1; steps through single-child nodes
-    always have b = c and cancel, which is why collapsing such nodes first
-    does not change the value.
+    Each leaf below ``target`` (or ``target`` itself, when it is a leaf)
+    contributes the product of (b-1)/(c-1) over the steps of its chain up to
+    ``target``: b is the weight below and including the previous chain node,
+    c the weight strictly below the current one.  A weight-1 step forces
+    b = c = 1 and contributes the empty factor 1; steps through single-child
+    nodes always have b = c and cancel, which is why collapsing such nodes
+    first does not change the value.
     """
-    prod = Fraction(1)
-    for prev, node in zip(chain, chain[1:]):
-        c = sub[node] - weights[node]
-        if c != 1:
-            prod *= Fraction(sub[prev] - 1, c - 1)
-    return prod
+    children: list[list[int]] = [[] for _ in parents]
+    for q, par in enumerate(parents):
+        if par is not None:
+            children[par].append(q)
+    order = [target]
+    for q in order:  # breadth first, so every node comes after its parent
+        order += children[q]
+    sub = list(weights)
+    value = [Fraction(1)] * len(parents)
+    for q in reversed(order):
+        if children[q]:
+            c = sum(sub[kid] for kid in children[q])
+            sub[q] += c
+            value[q] = sum(value[kid] * (Fraction(sub[kid] - 1, c - 1) if c > 1 else 1)
+                           for kid in children[q])
+    return value[target], sub[target]
 
 
 def irf_tangled_by_element(spec: InflationSpec, x: int) -> int:
     """Tangled labelings of an inflated rooted forest with label n-1 on ``x``.
 
     Zero for minimal ``x``.  Within the tree containing ``x`` the count is
-    (n_t - 2)! times a sum of chain products over the leaves below the fiber
-    of ``x``; other trees contribute the disjoint-union factor
+    (n_t - 2)! times the leaf sum of chain products at the fiber of ``x``;
+    other trees contribute the disjoint-union factor
     (n - n_t)! * C(n - 2, n_t - 2).
     """
     p, phi = build_inflation(spec)
@@ -90,32 +77,12 @@ def irf_tangled_by_element(spec: InflationSpec, x: int) -> int:
     if not p.below[x]:
         return 0
     parents = spec.parents
-    children, _ = _forest_children(parents)
     weights = [fiber.n for fiber in spec.fibers]
-    sub = _subtree_weights(parents, children, weights)
-
-    def root_of(q: int) -> int:
-        while parents[q] is not None:
-            q = parents[q]
-        return q
-
-    target = phi[x]
-    tree_root = root_of(target)
-    tree_nodes = [q for q in range(len(parents)) if root_of(q) == tree_root]
-    n_tree = sum(weights[q] for q in tree_nodes)
-
-    total = Fraction(0)
-    for leaf in tree_nodes:
-        if children[leaf]:
-            continue
-        chain = [leaf]
-        node = leaf
-        while node != target and parents[node] is not None:
-            node = parents[node]
-            chain.append(node)
-        if chain[-1] != target:
-            continue
-        total += _chain_product(chain, sub, weights)
+    root = phi[x]
+    while parents[root] is not None:
+        root = parents[root]
+    _, n_tree = _leaf_sum(parents, weights, root)
+    total, _ = _leaf_sum(parents, weights, phi[x])
     scaled = factorial(n_tree - 2) * total
     if scaled.denominator != 1:
         raise InternalError(f"non-integral tangled count {scaled} for x={x}")
@@ -132,24 +99,10 @@ def irf_bound(spec: InflationSpec) -> Fraction:
     most (n - m)/(n - 1), strictly below it as soon as m > 1.
     """
     build_inflation(spec)
-    parents = spec.parents
-    children, roots = _forest_children(parents)
+    roots = [q for q, par in enumerate(spec.parents) if par is None]
     if len(roots) != 1:
         raise ValueError("the leaf-sum bound applies to a single rooted tree")
-    weights = [fiber.n for fiber in spec.fibers]
-    sub = _subtree_weights(parents, children, weights)
-    root = roots[0]
-    total = Fraction(0)
-    for leaf in range(len(parents)):
-        if children[leaf]:
-            continue
-        chain = [leaf]
-        node = leaf
-        while node != root:
-            node = parents[node]
-            chain.append(node)
-        total += _chain_product(chain, sub, weights)
-    return total
+    return _leaf_sum(spec.parents, [fiber.n for fiber in spec.fibers], roots[0])[0]
 
 
 # -- the W-poset count ----------------------------------------------------------

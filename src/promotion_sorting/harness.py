@@ -13,11 +13,11 @@ from __future__ import annotations
 import gzip
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .enumeration import (_check_budget, _run_chunks, sequence_shape, sorting_gf,
                           tangled_report)
-from .posets import Poset, poset_from_json, poset_to_json
+from .posets import Poset, _bits, poset_from_json, poset_to_json
 
 CANON_MAX_N = 10
 GENERATION_MAX_N = 8
@@ -121,32 +121,21 @@ def canonicalize(p: Poset, force: bool = False) -> bytes:
 # -- isomorphism-free generation -------------------------------------------------
 
 def _lower_ideal_masks(p: Poset) -> list[int]:
-    ideals = []
-    for mask in range(1 << p.n):
-        probe = mask
-        good = True
-        while probe:
-            low = probe & -probe
-            if p.below[low.bit_length() - 1] & ~mask:
-                good = False
-                break
-            probe ^= low
-        if good:
-            ideals.append(mask)
-    return ideals
+    """Every lower order ideal of ``p`` as a bitmask, in increasing order.
+
+    Elements are decided along a linear extension, so an element joins an
+    ideal exactly when everything below it is already there.
+    """
+    ideals = [0]
+    for x in sorted(range(p.n), key=p.heights.__getitem__):
+        ideals += [m | 1 << x for m in ideals if not p.below[x] & ~m]
+    return sorted(ideals)
 
 
 def _extend_by_maximal(p: Poset, ideal_mask: int) -> Poset:
     """Add one new maximal element whose strict down-set is ``ideal_mask``."""
-    new = p.n
     covers = list(p.covers)
-    probe = ideal_mask
-    while probe:
-        low = probe & -probe
-        e = low.bit_length() - 1
-        if not p.above[e] & ideal_mask:
-            covers.append((e, new))
-        probe ^= low
+    covers += [(e, p.n) for e in _bits(ideal_mask) if not p.above[e] & ideal_mask]
     return Poset(p.n + 1, covers)
 
 
@@ -162,31 +151,35 @@ class PosetCatalog:
         return len(self.entries)
 
 
-def generate_posets(n: int, connected: bool = False, force: bool = False) -> PosetCatalog:
-    """Generate one representative per isomorphism class of n-element posets.
+def poset_levels(max_n: int, force: bool = False) -> Iterator[tuple]:
+    """Yield one representative per isomorphism class for n = 1, .., max_n.
 
     Grows size by size: every poset on k + 1 elements arises from a poset on
     k elements by adding a new maximal element over a lower order ideal, and
-    canonical forms collapse the duplicate histories.  Entries are sorted by
-    canonical form, so catalogs are deterministic.
+    canonical forms collapse the duplicate histories.  Each yielded level is
+    a tuple sorted by canonical form, so catalogs are deterministic.
     """
-    _check_budget(n, force, cap=GENERATION_MAX_N, what="catalog generation")
-    if n < 1:
+    _check_budget(max_n, force, cap=GENERATION_MAX_N, what="catalog generation")
+    if max_n < 1:
         raise ValueError("catalogs need n >= 1")
     level = {canonicalize(Poset(1), force=force): Poset(1)}
-    for _ in range(n - 1):
-        grown: dict[bytes, Poset] = {}
-        for p in level.values():
-            for mask in _lower_ideal_masks(p):
-                q = _extend_by_maximal(p, mask)
-                key = canonicalize(q, force=force)
-                if key not in grown:
-                    grown[key] = q
-        level = grown
-    entries = [level[key] for key in sorted(level)]
+    for n in range(1, max_n + 1):
+        if n > 1:
+            grown: dict[bytes, Poset] = {}
+            for p in level.values():
+                for mask in _lower_ideal_masks(p):
+                    q = _extend_by_maximal(p, mask)
+                    grown.setdefault(canonicalize(q, force=force), q)
+            level = grown
+        yield tuple(level[key] for key in sorted(level))
+
+
+def generate_posets(n: int, connected: bool = False, force: bool = False) -> PosetCatalog:
+    """The last level of :func:`poset_levels`, optionally connected posets only."""
+    *_, entries = poset_levels(n, force=force)
     if connected:
-        entries = [p for p in entries if p.is_connected()]
-    return PosetCatalog(n=n, connected_only=connected, entries=tuple(entries))
+        entries = tuple(p for p in entries if p.is_connected())
+    return PosetCatalog(n=n, connected_only=connected, entries=entries)
 
 
 def save_catalog(catalog: PosetCatalog, path) -> None:

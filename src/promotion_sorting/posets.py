@@ -299,6 +299,15 @@ def poset_from_json(text: str) -> Poset:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SpecError(f"invalid JSON: {exc}") from None
+    return poset_from_doc(doc)
+
+
+def poset_from_doc(doc) -> Poset:
+    """Build a poset from a decoded JSON document, checking every field's type.
+
+    ``"n"`` must be an integer (not a boolean), ``"covers"`` a list of
+    two-element lists and ``"names"``, when present, a list.
+    """
     if not isinstance(doc, Mapping) or "n" not in doc or "covers" not in doc:
         raise SpecError('poset document must carry "n" and "covers"')
     n = doc["n"]

@@ -154,13 +154,11 @@ def order(p: Poset, labels: Sequence[int]) -> int:
     """Number of promotion steps needed to sort; at most ``n - 1``."""
     labels = validate_labeling(p, labels)
     pos = positions_of(labels)
-    steps = 0
-    while not _is_natural_pos(p.below, pos):
-        steps += 1
-        if steps > p.n - 1:
-            raise InternalError("promotion failed to sort within n - 1 steps")
+    for steps in range(p.n):
+        if _is_natural_pos(p.below, pos):
+            return steps
         _advance(p.above, pos)
-    return steps
+    raise InternalError("promotion failed to sort within n - 1 steps")
 
 
 def frozen_set(p: Poset, labels: Sequence[int]) -> frozenset[int]:

@@ -103,6 +103,11 @@ def test_irf(capsys, tmp_path):
     code, _, err = run(capsys, "irf", "--spec", str(spec_path), "--bound")
     assert code == 1
     assert "cycle" in err
+    # fibers are checked like any other poset document
+    spec_path.write_text(json.dumps({"parents": [None], "fibers": [{"n": True, "covers": []}]}))
+    code, _, err = run(capsys, "irf", "--spec", str(spec_path), "--element", "0")
+    assert code == 1
+    assert '"n" must be an integer' in err
 
 
 def test_wposet(capsys):

@@ -8,10 +8,12 @@ import pytest
 from promotion_sorting import (
     BudgetError,
     GenFun,
+    InternalError,
     Poset,
     antichain,
     chain,
     cumulative_gf,
+    order,
     ordinal_sum,
     sequence_shape,
     sorting_gf,
@@ -119,6 +121,22 @@ def test_worker_count_is_clamped(monkeypatch):
         with pytest.raises(ValueError):
             scan_catalog(cat, workers=bad)
     assert asked == [3, 3, len(cat)]
+
+
+def test_defective_kernel_fails_instead_of_hanging(monkeypatch):
+    # a step that never moves anything must trip the n - 1 step cap
+    from promotion_sorting import enumeration, promotion
+
+    def no_pool(processes):
+        raise AssertionError("no pool may start")
+
+    monkeypatch.setattr(enumeration, "Pool", no_pool)
+    monkeypatch.setattr(enumeration, "_advance", lambda above, pos: None)
+    monkeypatch.setattr(promotion, "_advance", lambda above, pos: None)
+    with pytest.raises(InternalError):
+        sorting_gf(chain(3), workers=1)
+    with pytest.raises(InternalError):
+        order(chain(3), (2, 1, 3))
 
 
 def test_tangled_lambda():

@@ -173,3 +173,19 @@ def test_inflation_spec_from_json():
     assert p.n == 6
     with pytest.raises(ValueError):
         inflation_spec_from_json({"parents": [None]})
+    # parents and fibers get the same type checks as every poset document
+    point = {"n": 1, "covers": []}
+    for bad, error, message in [
+        ({"parents": [None], "fibers": [{"n": True, "covers": []}]}, SpecError, '"n"'),
+        ({"parents": [None], "fibers": [{"n": 2, "covers": [[0, 1]], "names": "ab"}]},
+         SpecError, '"names"'),
+        ({"parents": [None], "fibers": [{"n": 2, "covers": "ab"}]}, SpecError, '"covers"'),
+        ({"parents": [None], "fibers": [[1]]}, SpecError, '"n" and "covers"'),
+        ({"parents": [None, True], "fibers": [point, point]}, ForestError, "True"),
+        ({"parents": [None, 0.7], "fibers": [point, point]}, ForestError, "0.7"),
+        ({"parents": [None, "0"], "fibers": [point, point]}, ForestError, "'0'"),
+        ({"parents": 3, "fibers": [point]}, SpecError, "lists"),
+        ({"parents": [1, 0], "fibers": [point, point]}, ForestError, "cycle"),
+    ]:
+        with pytest.raises(error, match=message):
+            inflation_spec_from_json(bad)

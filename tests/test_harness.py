@@ -27,12 +27,14 @@ from promotion_sorting import (
     save_catalog,
     scan_catalog,
 )
+from promotion_sorting.harness import _lower_ideal_masks, poset_levels
 
 LAMBDA = Poset(3, [(0, 2), (1, 2)])
 V3 = Poset(3, [(0, 1), (0, 2)])
 
-ISO_CLASS_COUNTS = {1: 1, 2: 2, 3: 5, 4: 16, 5: 63, 6: 318}
-CONNECTED_COUNTS = {1: 1, 2: 1, 3: 3, 4: 10, 5: 44, 6: 238}
+# OEIS A000112 (all posets) and A000608 (connected posets)
+ISO_CLASS_COUNTS = {1: 1, 2: 2, 3: 5, 4: 16, 5: 63, 6: 318, 7: 2045, 8: 16999}
+CONNECTED_COUNTS = {1: 1, 2: 1, 3: 3, 4: 10, 5: 44, 6: 238, 7: 1650, 8: 14512}
 LABELED_COUNTS = {1: 1, 2: 3, 3: 19, 4: 219, 5: 4231}
 
 
@@ -120,6 +122,23 @@ def test_canonical_partition_matches_brute_isomorphism(n):
 def test_catalog_counts(n):
     assert len(generate_posets(n)) == ISO_CLASS_COUNTS[n]
     assert len(generate_posets(n, connected=True)) == CONNECTED_COUNTS[n]
+
+
+@pytest.mark.parametrize("max_n", [7, pytest.param(8, marks=pytest.mark.slow)])
+def test_catalog_levels_match_oeis(max_n):
+    # one growth pass pins every level up to max_n
+    for n, level in enumerate(poset_levels(max_n), start=1):
+        assert len(level) == ISO_CLASS_COUNTS[n]
+        assert sum(p.is_connected() for p in level) == CONNECTED_COUNTS[n]
+    assert n == max_n
+
+
+def test_lower_ideals_match_brute_filter():
+    for n in range(1, 6):
+        for p in generate_posets(n).entries:
+            brute = [mask for mask in range(1 << n)
+                     if all(not p.below[e] & ~mask for e in range(n) if mask >> e & 1)]
+            assert _lower_ideal_masks(p) == brute
 
 
 def test_catalog_matches_brute_classes():

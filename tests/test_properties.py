@@ -13,11 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from promotion_sorting import (
+    InflationSpec,
     Poset,
     basins,
+    build_inflation,
     canonicalize,
     frozen_set,
     generate_posets,
+    irf_tangled_by_element,
     is_natural,
     is_tangled,
     lift_labeling,
@@ -251,3 +254,34 @@ def test_enumeration_matches_reference_on_catalogs():
             assert sorting_gf(p).coeffs == tuple(counts)
             if n > 1:
                 assert tangled_report(p).by_element == tuple(by_element)
+
+
+# fiber posets with a unique minimal element, up to four elements
+ROOTED_FIBERS = [p for k in range(1, 5) for p in generate_posets(k).entries
+                 if len(p.minimals) == 1]
+
+
+@st.composite
+def inflated_forests(draw, max_n=7):
+    """An inflated rooted forest: two or more nodes, at most ``max_n`` elements."""
+    fibers, budget = [], max_n
+    while budget and (len(fibers) < 2 or draw(st.booleans())):
+        fiber = draw(st.sampled_from([f for f in ROOTED_FIBERS if f.n <= budget]))
+        fibers.append(fiber)
+        budget -= fiber.n
+    r = len(fibers)
+    parents = [draw(st.sampled_from([None, *range(q)])) for q in range(r)]
+    perm = draw(st.permutations(range(r)))  # node q is renamed perm[q]
+    renamed_parents, renamed_fibers = [None] * r, [None] * r
+    for q in range(r):
+        renamed_parents[perm[q]] = None if parents[q] is None else perm[parents[q]]
+        renamed_fibers[perm[q]] = fibers[q]
+    return InflationSpec(tuple(renamed_parents), tuple(renamed_fibers))
+
+
+@settings(deadline=None, max_examples=60)
+@given(inflated_forests())
+def test_irf_closed_form_matches_enumeration(spec):
+    p, _ = build_inflation(spec)
+    by_element = tangled_report(p).by_element
+    assert tuple(irf_tangled_by_element(spec, x) for x in range(p.n)) == by_element
