@@ -50,7 +50,11 @@ def _add_threads_arg(cmd):
                      help="worker processes (default: machine parallelism)")
 
 
-def _load(args) -> Poset:
+def _load(args, budgeted: bool = False) -> Poset:
+    """The ``--poset`` document; ``budgeted`` checks the enumeration budget
+    against its ``n`` before the poset is built."""
+    if budgeted:
+        return load_poset(args.poset, lambda n: _check_budget(n, args.force))
     return load_poset(args.poset)
 
 
@@ -108,7 +112,7 @@ def _cmd_order(args) -> int:
 
 
 def _cmd_gf(args) -> int:
-    p = _load(args)
+    p = _load(args, budgeted=True)
     f = sorting_gf(p, workers=args.threads, force=args.force)
     g = f.cumulative()
     if args.json:
@@ -120,7 +124,7 @@ def _cmd_gf(args) -> int:
 
 
 def _cmd_tangled(args) -> int:
-    p = _load(args)
+    p = _load(args, budgeted=True)
     report = tangled_report(p, workers=args.threads, force=args.force)
     if args.json:
         print(json.dumps({"poset": args.poset, "total": report.total,

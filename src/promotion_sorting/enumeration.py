@@ -5,6 +5,19 @@ exactly the order of their factorial-base ranks: the space splits into
 contiguous rank ranges, so multi-process runs partition deterministically
 and merge by plain addition.  Everything here is exact integer arithmetic.
 
+Tangled counting visits a smaller space, by the tangled-chain lemma: after
+k promotions of a labeling whose label n sits on a basin b, the element
+c_k holding label n - k - 1 satisfies c_{k+1} <= c_k.  (No walk enters the
+minimal b before step n - 1, so b holds label n - k after k steps; c_k
+either keeps its label or is walked, which hands the label to the chain
+element just below it.)  Tangled means c_{n-2} > b, which holds exactly
+when c_k > b for every k.  So only labelings with label n - 1 strictly
+above b can be tangled (k = 0), and each one stops promoting at the first
+c_k that is not above b.  The visited space is the (basin b, element r
+above b) pairs times the (n-2)! arrangements of the other labels, that is
+sum over basins b of |up(b)| (n-2)! labelings instead of
+|basins| (n-1)!.
+
 The default budget refuses posets with more than ``DEFAULT_MAX_N`` elements
 unless ``force=True`` is passed; n! grows too fast to wander past that wall
 by accident.
@@ -19,8 +32,8 @@ from itertools import accumulate, islice, permutations
 from multiprocessing import Pool
 from typing import Sequence
 
-from .posets import Poset, basins
-from .promotion import InternalError, _advance, _is_natural_pos
+from .posets import Poset, _bits, basins
+from .promotion import InternalError, _advance, _is_natural_pos, _is_tangled_pos
 
 DEFAULT_MAX_N = 9
 
@@ -190,30 +203,23 @@ class TangleReport:
 def _tangled_chunk(args) -> list[int]:
     """Tangled counts by element over a global rank range.
 
-    The global space is (basin index) x (rank of the label assignment of
-    1..n-1 over the remaining elements); only labelings with label n on a
-    basin can be tangled, so nothing else is visited.
+    The global space is (index of a (basin, element above it) pair) x (rank
+    of the arrangement of labels 1..n-2 over the other elements); label n
+    sits on the basin and label n - 1 on the element above it.
     """
-    p, basin_list, lo, hi = args
+    p, pairs, lo, hi = args
     n = p.n
     above = p.above
-    sub = math.factorial(n - 1)
+    block = math.factorial(n - 2)
     by_element = [0] * n
-    steps = n - 2
-    for b_idx, basin in enumerate(basin_list):
-        b_lo = max(lo, b_idx * sub)
-        b_hi = min(hi, (b_idx + 1) * sub)
-        if b_lo >= b_hi:
+    for k, (basin, runner_up) in enumerate(pairs):
+        start = k * block
+        k_lo, k_hi = max(lo, start) - start, min(hi, start + block) - start
+        if k_lo >= k_hi:
             continue
-        others = [e for e in range(n) if e != basin]
-        up_basin = above[basin]
-        for perm in islice(permutations(others), b_lo - b_idx * sub, b_hi - b_idx * sub):
-            pos = list(perm)
-            runner_up = pos[-1]
-            pos.append(basin)
-            for _ in range(steps):
-                _advance(above, pos)
-            if (up_basin >> pos[0]) & 1:
+        others = [e for e in range(n) if e != basin and e != runner_up]
+        for perm in islice(permutations(others), k_lo, k_hi):
+            if _is_tangled_pos(above, [*perm, runner_up, basin]):
                 by_element[runner_up] += 1
     return by_element
 
@@ -221,19 +227,19 @@ def _tangled_chunk(args) -> list[int]:
 def tangled_report(p: Poset, workers: int = 1, force: bool = False) -> TangleReport:
     """Count the tangled labelings, split by the element holding label n - 1.
 
-    A tangled labeling must place label n on a basin, so the enumeration
-    runs over basins times the (n-1)! arrangements of the other labels.
-    Minimal elements always report zero.
+    A tangled labeling places label n on a basin b and, by the tangled-chain
+    lemma (see the module docstring), label n - 1 strictly above b, so the
+    enumeration runs over the (b, element above b) pairs times the (n-2)!
+    arrangements of the other labels, and stops promoting a labeling at the
+    first break of the chain.  Minimal elements always report zero, since
+    no minimal element lies above a basin.
     """
     if p.n < 2:
         raise ValueError("tangled labelings need at least two elements")
     _check_budget(p.n, force)
-    parts = _pool_size(workers)
-    basin_list = basins(p)
-    if not basin_list:
-        return TangleReport(0, (0,) * p.n)
-    total_space = len(basin_list) * math.factorial(p.n - 1)
-    tasks = [(p, basin_list, lo, hi) for lo, hi in _split_ranges(total_space, parts)]
+    pairs = [(b, r) for b in basins(p) for r in _bits(p.above[b])]
+    total_space = len(pairs) * math.factorial(p.n - 2)
+    tasks = [(p, pairs, lo, hi) for lo, hi in _split_ranges(total_space, _pool_size(workers))]
     results = _run_chunks(_tangled_chunk, tasks, workers)
     by_element = tuple(sum(col) for col in zip(*results))
     return TangleReport(sum(by_element), by_element)

@@ -3,6 +3,12 @@
 Every function here returns exact integers, rationals or integer vectors;
 the matching enumeration oracles live in :mod:`promotion_sorting.enumeration`
 and the test suite keeps the two routes in agreement.
+
+The families built on a realized poset (W-posets, attached antichains,
+pedestals, stacks of antichains, brooms) refuse one larger than
+``CLOSED_FORM_MAX_N`` elements with ``BudgetError``: their big-integer
+arithmetic grows polynomially in that size, to at most about 0.4 s at the
+cap on a 2-vCPU machine.
 """
 
 from __future__ import annotations
@@ -29,6 +35,16 @@ class ModeError(ValueError):
 
 class DistinctnessError(ValueError):
     """A composition that must have distinct entries repeats one."""
+
+
+CLOSED_FORM_MAX_N = 400
+
+
+def _check_size(n: int, what: str) -> None:
+    """Refuse a closed form whose realized poset exceeds ``CLOSED_FORM_MAX_N``."""
+    if n > CLOSED_FORM_MAX_N:
+        raise BudgetError(f"{what} realizes a poset of {n} elements; closed forms "
+                          f"are budgeted at {CLOSED_FORM_MAX_N}")
 
 
 # -- tangled counts for inflated rooted forests --------------------------------
@@ -116,6 +132,7 @@ def w_poset_tangled(a: int, b: int, c: int, d: int) -> int:
     if min(a, b, c, d) < 1:
         raise ParamError("W-poset arm lengths must all be at least 1")
     n = a + b + c + d + 3
+    _check_size(n, "W-poset")
     x_sum = sum((d - j + 1) * _multinomial(i, j, c - 1)
                 for i in range(b) for j in range(d + 1))
     z_sum = sum((a - j + 1) * _multinomial(i, j, b - 1)
@@ -173,6 +190,7 @@ def attach_antichain(gf, k: int, mode: str = "sorting") -> GenFun:
         raise ParamError("the input vector must be nonempty")
     if k < 1:
         raise ParamError("the antichain size k must be at least 1")
+    _check_size(n + k, "attached antichain")
     if any(c < 0 for c in coeffs):
         raise ParamError("generating function coefficients must be nonnegative")
     if mode == "sorting":
@@ -219,6 +237,7 @@ class PedestalTails:
 def pedestal_coeffs(n: int, l: int) -> PedestalTails:
     if n < 1 or l < 1:
         raise ParamError("need a base size n >= 1 and a chain length l >= 1")
+    _check_size(n + l, "pedestal")
     b_tail = tuple((n + l - r) ** r * factorial(n + l - r) for r in range(l + 1))
     a_tail = tuple(
         ((n + l - r) ** (r + 1) - (n + l - r - 1) ** (r + 1)) * factorial(n + l - r - 1)
@@ -246,6 +265,7 @@ def ordinal_sum_antichains_g(sizes: Sequence[int]) -> GenFun:
     sizes = tuple(int(c) for c in sizes)
     if not sizes or any(c < 1 for c in sizes):
         raise ParamError("antichain sizes must be positive integers")
+    _check_size(sum(sizes), "stack of antichains")
     prefix = list(accumulate(sizes))
     n = prefix[-1]
     coeffs = []
@@ -270,6 +290,7 @@ def broom_f(n: int, k: int) -> GenFun:
     if n < 0 or k < 0:
         raise ParamError("need n >= 0 and k >= 0")
     size = n + k + 1
+    _check_size(size, "broom")
     coeffs = [0] * size
     for s in range(min(k + 1, size - 1) + 1):
         first = factorial(n + s) * (s + 1) ** (k + 1 - s)

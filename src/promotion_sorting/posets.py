@@ -12,7 +12,7 @@ instances can be shared freely between threads and worker processes.
 from __future__ import annotations
 
 import json
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 
 class CycleError(ValueError):
@@ -293,20 +293,25 @@ def poset_to_json(p: Poset) -> str:
     return json.dumps(doc, separators=(", ", ": "))
 
 
-def poset_from_json(text: str) -> Poset:
-    """Parse the JSON interchange format, closing and validating the relation."""
+def poset_from_json(text: str, check_n: Optional[Callable[[int], None]] = None) -> Poset:
+    """Parse the JSON interchange format, closing and validating the relation.
+
+    ``check_n`` is passed on to :func:`poset_from_doc`.
+    """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SpecError(f"invalid JSON: {exc}") from None
-    return poset_from_doc(doc)
+    return poset_from_doc(doc, check_n)
 
 
-def poset_from_doc(doc) -> Poset:
+def poset_from_doc(doc, check_n: Optional[Callable[[int], None]] = None) -> Poset:
     """Build a poset from a decoded JSON document, checking every field's type.
 
     ``"n"`` must be an integer (not a boolean), ``"covers"`` a list of
-    two-element lists and ``"names"``, when present, a list.
+    two-element lists and ``"names"``, when present, a list.  ``check_n``,
+    when given, sees ``n`` before anything of size ``n`` is built, so a size
+    budget raised from it costs no more than the document itself.
     """
     if not isinstance(doc, Mapping) or "n" not in doc or "covers" not in doc:
         raise SpecError('poset document must carry "n" and "covers"')
@@ -320,6 +325,8 @@ def poset_from_doc(doc) -> Poset:
         raise SpecError('"covers" must be a list of [i, j] pairs')
     if names is not None and not isinstance(names, list):
         raise SpecError(f'"names" must be a list, got {names!r}')
+    if check_n is not None:
+        check_n(n)
     return Poset(n, [tuple(c) for c in covers], names)
 
 
@@ -329,6 +336,6 @@ def save_poset(p: Poset, path) -> None:
         fh.write("\n")
 
 
-def load_poset(path) -> Poset:
+def load_poset(path, check_n: Optional[Callable[[int], None]] = None) -> Poset:
     with open(path, "r", encoding="utf-8") as fh:
-        return poset_from_json(fh.read())
+        return poset_from_json(fh.read(), check_n)

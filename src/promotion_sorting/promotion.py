@@ -10,8 +10,9 @@ labeling is the order (or sorting time) of the labeling; it never exceeds
 ``n - 1``, and labelings attaining ``n - 1`` are called tangled.
 
 The hot loops work on position arrays: ``pos[i]`` is the element holding
-label ``i + 1``.  The enumeration module runs these same two kernels,
-``_advance`` and ``_is_natural_pos``, in its chunk loops.
+label ``i + 1``.  The enumeration module runs these same kernels,
+``_advance``, ``_is_natural_pos`` and ``_is_tangled_pos``, in its chunk
+loops.
 """
 
 from __future__ import annotations
@@ -104,6 +105,26 @@ def _is_natural_pos(below: Sequence[int], pos: Sequence[int]) -> bool:
             return False
         seen |= 1 << e
     return True
+
+
+def _is_tangled_pos(above: Sequence[int], pos: list[int]) -> bool:
+    """Whether a labeling whose label ``n`` sits on a basin is tangled.
+
+    ``pos[-1]`` must be a basin ``b``; the array is promoted in place.  As
+    ``b`` is minimal, no walk enters it before step ``n - 1``, so after k
+    steps it holds label ``n - k`` and ``pos[n - 2 - k]`` holds the label
+    just below.  That holder either keeps its label or is walked, handing
+    the label to the chain element just below it, so it only moves down.
+    Tangled means label 1 ends strictly above ``b`` after ``n - 2`` steps,
+    which therefore needs every holder on the way strictly above ``b``: the
+    walk stops at the first one that is not.
+    """
+    up = above[pos[-1]]
+    for i in range(len(pos) - 2, 0, -1):
+        if not (up >> pos[i]) & 1:
+            return False
+        _advance(above, pos)
+    return bool((up >> pos[0]) & 1)
 
 
 # -- public operations --------------------------------------------------------
@@ -199,19 +220,14 @@ def is_tangled(p: Poset, labels: Sequence[int]) -> bool:
     """Whether the labeling attains the maximal order ``n - 1``.
 
     Uses the two-part characterization: label ``n`` must sit on a basin, and
-    after ``n - 2`` promotions label 1 must sit strictly above that element.
-    Single-element posets have no tangled labelings by convention.
+    after ``n - 2`` promotions label 1 must sit strictly above that element
+    (see ``_is_tangled_pos``).  Single-element posets have no tangled
+    labelings: their one element is not a basin.
     """
     labels = validate_labeling(p, labels)
-    if p.n == 1:
+    if labels.index(p.n) not in basins(p):
         return False
-    holder = labels.index(p.n)
-    if holder not in basins(p):
-        return False
-    pos = positions_of(labels)
-    for _ in range(p.n - 2):
-        _advance(p.above, pos)
-    return bool((p.above[holder] >> pos[0]) & 1)
+    return _is_tangled_pos(p.above, positions_of(labels))
 
 
 def lift_labeling(p: Poset, labels: Sequence[int], indices: Sequence[int]) -> tuple[Poset, tuple[int, ...]]:

@@ -281,6 +281,44 @@ def test_budget_exit(capsys, tmp_path):
     assert code == 2 and "budget" in err
 
 
+def test_budget_refused_before_the_poset_is_built(capsys, tmp_path):
+    # a tiny document naming a huge n must not cost n-sized memory
+    import tracemalloc
+
+    big = tmp_path / "huge.json"
+    big.write_text('{"n": 400000, "covers": []}')
+    for command in ("gf", "tangled"):
+        tracemalloc.start()
+        try:
+            code = main([command, "--poset", str(big)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and "budget" in capsys.readouterr().err
+        assert peak < 10 * 2**20
+
+
+@pytest.mark.parametrize("argv", [
+    ("broom", "--n", "3", "--k", "100000000"),
+    ("pedestal", "--n", "3", "--l", "100000000"),
+    ("ordsum", "--composition", "200,201"),
+    ("attach", "--gf", "2 4 0", "--k", "398"),
+    ("wposet", "--a", "100", "--b", "100", "--c", "100", "--d", "98"),
+], ids=lambda argv: argv[0])
+def test_closed_form_budget_exit(capsys, argv):
+    # each realizes a poset of more than CLOSED_FORM_MAX_N = 400 elements
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "closed forms are budgeted at 400" in err
+
+
+def test_closed_form_budget_admits_the_cap(capsys):
+    code, out, _ = run(capsys, "broom", "--n", "3", "--k", "396")
+    assert code == 0 and len(out.split()) == 400
+    code, _, _ = run(capsys, "broom", "--n", "3", "--k", "397")
+    assert code == 2
+
+
 def test_usage_error_exits_one(capsys, lam_file):
     with pytest.raises(SystemExit) as exc:
         main(["promote", "--poset", lam_file])

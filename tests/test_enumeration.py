@@ -10,9 +10,13 @@ from promotion_sorting import (
     GenFun,
     InternalError,
     Poset,
+    WParams,
     antichain,
+    basins,
+    build_w_poset,
     chain,
     cumulative_gf,
+    generate_posets,
     order,
     ordinal_sum,
     sequence_shape,
@@ -20,9 +24,12 @@ from promotion_sorting import (
     tangled_report,
     unrank_permutation,
 )
+from promotion_sorting.promotion import _advance, labels_of
 
 LAMBDA = Poset(3, [(0, 2), (1, 2)])
 T222 = ordinal_sum(antichain(2), ordinal_sum(antichain(2), antichain(2)))
+# the only 6-element poset with three basins: three disjoint 2-chains
+THREE_BASINS = Poset(6, [(0, 3), (1, 4), (2, 5)])
 
 
 def test_lambda_gfs():
@@ -164,6 +171,64 @@ def test_tangled_matches_top_coefficient():
         rep = tangled_report(p)
         assert rep.total == sorting_gf(p).coeffs[-1]
         assert rep.total == sum(rep.by_element)
+
+
+def test_tangled_chain_lemma_and_full_space_oracle():
+    # the pruned enumeration against the full basin x (n-1)! space, on every
+    # poset with 2 <= n <= 6: label n on a basin, n - 2 plain promotion steps,
+    # then label 1 strictly above that basin; and the lemma behind the
+    # pruning, that label n - 1 not strictly above the basin sorts early
+    for n in range(2, 7):
+        for p in generate_posets(n).entries:
+            by_element = [0] * n
+            for b in basins(p):
+                others = [e for e in range(n) if e != b]
+                for perm in permutations(others):
+                    pos = list(perm) + [b]
+                    runner_up = pos[-2]
+                    if not (p.above[b] >> runner_up) & 1:
+                        assert order(p, labels_of(pos)) < n - 1
+                    for _ in range(n - 2):
+                        _advance(p.above, pos)
+                    if (p.above[b] >> pos[0]) & 1:
+                        by_element[runner_up] += 1
+            assert tangled_report(p).by_element == tuple(by_element)
+
+
+@pytest.mark.parametrize("p", [build_w_poset(WParams(1, 1, 1, 1)), THREE_BASINS],
+                         ids=["W(1,1,1,1)", "three-basins"])
+def test_tangled_split_invariance(monkeypatch, p):
+    # every split of the (basin, runner-up) x (n-2)! rank space, into 1..7
+    # parts, sums to the serial vector, with range edges falling inside pair
+    # blocks; a fake pool runs the tasks in this process, so nothing is
+    # spawned
+    from promotion_sorting import enumeration
+
+    seen = []
+
+    class FakePool:
+        def __init__(self, processes):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, worker, tasks):
+            seen.append([(lo, hi) for _, _, lo, hi in tasks])
+            return [worker(t) for t in tasks]
+
+    monkeypatch.setattr(enumeration, "Pool", FakePool)
+    monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 7)
+    serial = tangled_report(p).by_element
+    block = factorial(p.n - 2)
+    total = sum(p.above[b].bit_count() for b in basins(p)) * block
+    for parts in range(2, 8):
+        assert tangled_report(p, workers=parts).by_element == serial
+    assert seen == [enumeration._split_ranges(total, parts) for parts in range(2, 8)]
+    assert any(hi % block for ranges in seen for _, hi in ranges[:-1])
 
 
 def test_tangled_single_element():
