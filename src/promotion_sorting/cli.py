@@ -22,7 +22,7 @@ from .formulas import (attach_antichain, broom_f, irf_bound,
                        pedestal_coeffs, w_poset_tangled, weak_order_family)
 from .harness import (ALL_CHECKS, PosetCatalog, generate_posets, poset_levels,
                       save_catalog, scan_catalog)
-from .posets import Poset, load_poset, poset_to_json
+from .posets import Poset, decode_json, load_poset, poset_to_json
 from .promotion import (format_labeling, lift_labeling, order, parse_labeling,
                         promote, validate_labeling)
 
@@ -50,16 +50,17 @@ def _add_threads_arg(cmd):
                      help="worker processes (default: machine parallelism)")
 
 
-def _load(args, budgeted: bool = False) -> Poset:
-    """The ``--poset`` document; ``budgeted`` checks the enumeration budget
-    against its ``n`` before the poset is built."""
-    if budgeted:
-        return load_poset(args.poset, lambda n: _check_budget(n, args.force))
-    return load_poset(args.poset)
+def _load_labeled(args) -> tuple[Poset, tuple[int, ...]]:
+    """The ``--poset`` document and its ``--labeling``, parsed first so that a
+    document of another size is refused before its poset is built."""
+    labels = parse_labeling(args.labeling)
 
+    def same_length(n: int) -> None:
+        if n != len(labels):
+            raise ValueError(f"labeling {labels!r} is not a bijection onto 1..{n}")
 
-def _labeling_for(p: Poset, text: str):
-    return validate_labeling(p, parse_labeling(text))
+    p = load_poset(args.poset, same_length)
+    return p, validate_labeling(p, labels)
 
 
 # -- DOT export -----------------------------------------------------------------
@@ -94,8 +95,7 @@ def export_dot(p: Poset, labels: Optional[Sequence[int]] = None) -> str:
 # -- handlers ---------------------------------------------------------------------
 
 def _cmd_promote(args) -> int:
-    p = _load(args)
-    labels = _labeling_for(p, args.labeling)
+    p, labels = _load_labeled(args)
     if args.steps < 1:
         raise ValueError("--steps must be at least 1")
     for _ in range(args.steps):
@@ -106,13 +106,13 @@ def _cmd_promote(args) -> int:
 
 
 def _cmd_order(args) -> int:
-    p = _load(args)
-    print(order(p, _labeling_for(p, args.labeling)))
+    p, labels = _load_labeled(args)
+    print(order(p, labels))
     return 0
 
 
 def _cmd_gf(args) -> int:
-    p = _load(args, budgeted=True)
+    p = load_poset(args.poset, lambda n: _check_budget(n, args.force))
     f = sorting_gf(p, workers=args.threads, force=args.force)
     g = f.cumulative()
     if args.json:
@@ -124,7 +124,7 @@ def _cmd_gf(args) -> int:
 
 
 def _cmd_tangled(args) -> int:
-    p = _load(args, budgeted=True)
+    p = load_poset(args.poset, lambda n: _check_budget(n, args.force))
     report = tangled_report(p, workers=args.threads, force=args.force)
     if args.json:
         print(json.dumps({"poset": args.poset, "total": report.total,
@@ -139,8 +139,7 @@ def _cmd_tangled(args) -> int:
 
 
 def _cmd_lift(args) -> int:
-    p = _load(args)
-    labels = _labeling_for(p, args.labeling)
+    p, labels = _load_labeled(args)
     indices = [int(v) for v in args.indices.split(",")]
     lifted_poset, lifted = lift_labeling(p, labels, indices)
     print(format_labeling(lifted))
@@ -150,7 +149,7 @@ def _cmd_lift(args) -> int:
 
 def _cmd_irf(args) -> int:
     with open(args.spec, "r", encoding="utf-8") as fh:
-        spec = inflation_spec_from_json(json.load(fh))
+        spec = inflation_spec_from_json(decode_json(fh.read()))
     if args.bound:
         value = irf_bound(spec)
         print(f"bound sum: {value.numerator}/{value.denominator}"
@@ -266,8 +265,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_export_dot(args) -> int:
-    p = _load(args)
-    labels = _labeling_for(p, args.labeling) if args.labeling else None
+    p, labels = _load_labeled(args) if args.labeling else (load_poset(args.poset), None)
     text = export_dot(p, labels)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -397,7 +395,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except BudgetError as exc:
         print(f"budget: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, IndexError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, IndexError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -41,26 +41,33 @@ def _validate_covers(n: int, covers: Iterable[Sequence[int]]) -> list[tuple[int,
     return pairs
 
 
-def _closure_from_pairs(n: int, pairs: list[tuple[int, int]]) -> list[int]:
-    """Transitive closure of an acyclic relation, as strictly-above bitmasks.
+def _closure_from_pairs(n: int, pairs: list[tuple[int, int]]):
+    """``above``, ``below`` (bitmasks) and ``heights`` of an acyclic relation.
 
-    Raises CycleError when the relation digraph has a directed cycle.
+    One topological order drives all three: Kahn's algorithm releases x after
+    everything below it, so ``below[x]`` and ``heights[x]`` are final then and
+    are pushed into x's successors; ``above`` is collected backward over the
+    same order.  Raises CycleError when the relation has a directed cycle.
     """
     succ: list[list[int]] = [[] for _ in range(n)]
     indeg = [0] * n
     for a, b in set(pairs):
         succ[a].append(b)
         indeg[b] += 1
-    # Kahn's algorithm; leftovers mean a cycle.
-    queue = [x for x in range(n) if indeg[x] == 0]
-    topo = []
-    while queue:
-        x = queue.pop()
-        topo.append(x)
+    below = [0] * n
+    heights = [0] * n
+    # Kahn's algorithm, the list growing while it is walked; leftovers mean a cycle.
+    topo = [x for x in range(n) if indeg[x] == 0]
+    for x in topo:
+        down = 1 << x | below[x]
+        up = heights[x] + 1
         for y in succ[x]:
+            below[y] |= down
+            if heights[y] < up:
+                heights[y] = up
             indeg[y] -= 1
             if indeg[y] == 0:
-                queue.append(y)
+                topo.append(y)
     if len(topo) != n:
         raise CycleError("cover relation contains a directed cycle")
     above = [0] * n
@@ -69,7 +76,7 @@ def _closure_from_pairs(n: int, pairs: list[tuple[int, int]]) -> list[int]:
         for y in succ[x]:
             acc |= (1 << y) | above[y]
         above[x] = acc
-    return above
+    return above, below, heights
 
 
 class Poset:
@@ -89,35 +96,14 @@ class Poset:
         if not isinstance(n, int) or n < 1:
             raise ValueError(f"poset size must be a positive integer, got {n!r}")
         pairs = _validate_covers(n, covers)
-        above = _closure_from_pairs(n, pairs)
-        below = [0] * n
-        for x in range(n):
-            mask = above[x]
-            while mask:
-                low = mask & -mask
-                below[low.bit_length() - 1] |= 1 << x
-                mask ^= low
+        above, below, heights = _closure_from_pairs(n, pairs)
         self.n = n
         self.above = tuple(above)
         self.below = tuple(below)
-        self.covers = tuple(sorted(
-            (a, b)
-            for a in range(n)
-            for b in _bits(above[a])
-            if not above[a] & below[b]
-        ))
-        heights = [0] * n
-        order = sorted(range(n), key=lambda x: below[x].bit_count())
-        for x in order:
-            h = 0
-            mask = below[x]
-            while mask:
-                low = mask & -mask
-                y = low.bit_length() - 1
-                if h <= heights[y]:
-                    h = heights[y] + 1
-                mask ^= low
-            heights[x] = h
+        # lexicographic (a, then b, ascending); a list, not a generator, sizes
+        # the tuple exactly, which keeps large catalogs at their old footprint
+        self.covers = tuple([(a, b) for a in range(n) for b in _bits(above[a])
+                             if not above[a] & below[b]])
         self.heights = tuple(heights)
         self.minimals = tuple(x for x in range(n) if not below[x])
         self.maximals = tuple(x for x in range(n) if not above[x])
@@ -293,16 +279,23 @@ def poset_to_json(p: Poset) -> str:
     return json.dumps(doc, separators=(", ", ": "))
 
 
+def decode_json(text: str):
+    """Decode a poset or inflation document; any failure, nesting too deep
+    for the decoder included, is a SpecError."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SpecError(f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise SpecError("invalid JSON: nested too deeply") from None
+
+
 def poset_from_json(text: str, check_n: Optional[Callable[[int], None]] = None) -> Poset:
     """Parse the JSON interchange format, closing and validating the relation.
 
     ``check_n`` is passed on to :func:`poset_from_doc`.
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SpecError(f"invalid JSON: {exc}") from None
-    return poset_from_doc(doc, check_n)
+    return poset_from_doc(decode_json(text), check_n)
 
 
 def poset_from_doc(doc, check_n: Optional[Callable[[int], None]] = None) -> Poset:

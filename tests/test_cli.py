@@ -3,10 +3,14 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import promotion_sorting.cli as cli
-from promotion_sorting import Poset, chain, poset_to_json, save_poset
+from promotion_sorting import (Poset, chain, inflation_spec_from_json, poset_to_json,
+                               save_poset)
 from promotion_sorting.cli import export_dot, main
+from promotion_sorting.posets import poset_from_doc
 
 LAMBDA = Poset(3, [(0, 2), (1, 2)])
 FUNNEL = Poset(9, [(6, 3), (6, 4), (7, 4), (8, 4), (8, 5), (4, 1), (3, 1),
@@ -169,6 +173,9 @@ def test_weak_order(capsys):
     start = lines.index("extra dominance covers:")
     assert lines[start + 1].strip() == "312 <= 213"
     assert "collisions:" not in lines
+    code, out, err = run(capsys, "weak-order", "--composition", "1,2,3,4,5,6,7")
+    assert (code, out) == (2, "")
+    assert "budgeted at 6 entries" in err
 
 
 def test_gen_posets_stdout_and_file(capsys, tmp_path):
@@ -282,20 +289,41 @@ def test_budget_exit(capsys, tmp_path):
 
 
 def test_budget_refused_before_the_poset_is_built(capsys, tmp_path):
-    # a tiny document naming a huge n must not cost n-sized memory
+    # a tiny document naming a huge n must not cost n-sized memory: the
+    # counting commands check their budget and the labeling commands the
+    # labeling's length against n before the poset is built
     import tracemalloc
 
     big = tmp_path / "huge.json"
     big.write_text('{"n": 400000, "covers": []}')
-    for command in ("gf", "tangled"):
+    for argv, expected, message in (
+            (["gf"], 2, "budget"),
+            (["tangled"], 2, "budget"),
+            (["order", "--labeling", "1"], 1, "error: labeling (1,) is not a bijection"),
+            (["promote", "--labeling", "1"], 1, "error: labeling (1,)"),
+            (["lift", "--labeling", "1", "--indices", "1"], 1, "error: labeling (1,)"),
+            (["export-dot", "--labeling", "1"], 1, "error: labeling (1,)")):
         tracemalloc.start()
         try:
-            code = main([command, "--poset", str(big)])
+            code = main([*argv, "--poset", str(big)])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert code == 2 and "budget" in capsys.readouterr().err
+        assert code == expected and message in capsys.readouterr().err
         assert peak < 10 * 2**20
+
+
+@pytest.mark.parametrize("argv", [
+    ("gf", "--poset"),
+    ("order", "--labeling", "1", "--poset"),
+    ("irf", "--element", "0", "--spec"),
+], ids=lambda argv: argv[0])
+def test_deeply_nested_json_exits_one(capsys, tmp_path, argv):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000)
+    code, out, err = run(capsys, *argv, str(deep))
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -328,3 +356,55 @@ def test_usage_error_exits_one(capsys, lam_file):
         main(["no-such-command"])
     assert exc.value.code == 1
     assert "invalid choice" in capsys.readouterr().err
+
+
+# -- fuzz: any JSON document ends in an exit code, never a traceback ---------------
+
+DOC_KEYS = st.sampled_from(["n", "covers", "names", "parents", "fibers"]) | st.text(max_size=3)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 4) | st.integers(-50, 50)
+    | st.floats(-50, 50) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(DOC_KEYS, inner, max_size=5),
+    max_leaves=30)
+
+
+@st.composite
+def mostly(draw, good):
+    """A draw from ``good`` most of the time, any JSON value otherwise."""
+    return draw(good) if draw(st.integers(0, 3)) < 3 else draw(JSON_VALUES)
+
+
+# documents of the right shape, with fields sometimes replaced by any value
+PAIRS = st.lists(st.integers(0, 4), min_size=2, max_size=2, unique=True).map(sorted)
+POSET_DOCS = st.fixed_dictionaries(
+    {"n": mostly(st.integers(1, 5)),
+     "covers": mostly(st.lists(PAIRS, max_size=6))},
+    optional={"names": mostly(st.lists(st.text(max_size=2), max_size=5))})
+INFLATION_DOCS = st.integers(1, 3).flatmap(lambda r: st.fixed_dictionaries(
+    {"parents": mostly(st.tuples(st.none(), *(st.none() | st.integers(0, q - 1)
+                                              for q in range(1, r))).map(list)),
+     "fibers": mostly(st.lists(st.just({"n": 1, "covers": []}) | POSET_DOCS,
+                               min_size=r, max_size=r))}))
+DOCUMENTS = mostly(POSET_DOCS | INFLATION_DOCS)
+
+
+@settings(deadline=None, max_examples=200,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(DOCUMENTS)
+def test_documents_fuzz(capsys, tmp_path, doc):
+    # integers stay within +-50, so no draw builds a large poset; order and
+    # irf never start a worker pool
+    for parse in (poset_from_doc, inflation_spec_from_json):
+        try:
+            parse(doc)
+        except (ValueError, IndexError, OSError):
+            pass
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    n = doc.get("n") if isinstance(doc, dict) else None
+    size = n if type(n) is int and 1 <= n <= 50 else 1
+    labeling = ",".join(str(v) for v in range(1, size + 1))
+    assert main(["order", "--poset", str(path), "--labeling", labeling]) in (0, 1, 2, 3)
+    for query in (["--element", "0"], ["--bound"]):
+        assert main(["irf", "--spec", str(path), *query]) in (0, 1, 2, 3)
+    capsys.readouterr()

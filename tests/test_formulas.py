@@ -1,6 +1,7 @@
 """Closed forms against their enumeration oracles."""
 
 from fractions import Fraction
+from itertools import combinations
 from math import factorial
 
 import pytest
@@ -418,4 +419,36 @@ def test_weak_order_family_validation():
     with pytest.raises(ParamError):
         weak_order_family((0, 1, 2))
     with pytest.raises(BudgetError):
+        weak_order_family((1, 2, 3, 4, 5, 6, 7))
+    with pytest.raises(BudgetError):
         weak_order_family((1, 2, 3, 4, 5, 6, 7, 8))
+
+
+def reference_hasse(vectors):
+    """Dominance covers between distinct vectors by the definition: no
+    distinct vector lies strictly between.  Keyed by the least permutation."""
+    reps = {}
+    for perm in sorted(vectors):
+        reps.setdefault(vectors[perm], perm)
+    distinct = sorted(reps)
+
+    def leq(a, b):
+        return all(x <= y for x, y in zip(a, b))
+
+    hasse = []
+    for low in distinct:
+        for high in distinct:
+            if low == high or not leq(low, high):
+                continue
+            if any(mid != low and mid != high and leq(low, mid) and leq(mid, high)
+                   for mid in distinct):
+                continue
+            hasse.append((reps[low], reps[high]))
+    return tuple(sorted(hasse))
+
+
+@pytest.mark.parametrize("composition", [
+    comp for r in range(2, 6) for comp in combinations(range(1, 7), r)], ids=str)
+def test_weak_order_hasse_matches_definition(composition):
+    fam = weak_order_family(composition)
+    assert fam.hasse == reference_hasse(fam.vectors)

@@ -178,6 +178,54 @@ def test_json_roundtrip(p):
     assert poset_from_json(poset_to_json(p)) == p
 
 
+def reference_structure(n, relation):
+    """``above``, ``below``, ``heights`` and ``covers`` read off the definitions.
+
+    The order is the closure of ``relation`` under repeated composition, the
+    height of x the number of steps in a longest chain ending at x, and a
+    cover a pair with nothing strictly between.
+    """
+    lt = [[False] * n for _ in range(n)]
+    for a, b in relation:
+        lt[a][b] = True
+    grown = True
+    while grown:
+        grown = False
+        for a in range(n):
+            for b in range(n):
+                for c in range(n):
+                    if lt[a][b] and lt[b][c] and not lt[a][c]:
+                        lt[a][c] = grown = True
+
+    def height(x):
+        return max((height(y) + 1 for y in range(n) if lt[y][x]), default=0)
+
+    above = tuple(sum(1 << b for b in range(n) if lt[a][b]) for a in range(n))
+    below = tuple(sum(1 << a for a in range(n) if lt[a][b]) for b in range(n))
+    covers = tuple((a, b) for a in range(n) for b in range(n)
+                   if lt[a][b] and not any(lt[a][c] and lt[c][b] for c in range(n)))
+    return above, below, tuple(height(x) for x in range(n)), covers
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.data())
+def test_constructor_matches_definitions(data):
+    # a random DAG: edges go up a hidden linear order, then elements are renumbered
+    n = data.draw(st.integers(1, 8))
+    up_pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = data.draw(st.lists(st.sampled_from(up_pairs), unique=True)) if up_pairs else []
+    perm = data.draw(st.permutations(range(n)))
+    edges = [(perm[a], perm[b]) for a, b in edges]
+    expected = reference_structure(n, edges)
+    above, _, _, covers = expected
+    comparable = [(a, b) for a in range(n) for b in range(n) if above[a] >> b & 1]
+    repeats = data.draw(st.lists(st.sampled_from(comparable))) if comparable else []
+    fed = data.draw(st.permutations(comparable + list(covers) + repeats))
+    for relation in (edges, covers, fed):
+        p = Poset(n, relation)
+        assert (p.above, p.below, p.heights, p.covers) == expected
+
+
 @settings(deadline=None)
 @given(posets(), st.randoms(use_true_random=False))
 def test_canonicalize_relabel_invariant(p, rng):
