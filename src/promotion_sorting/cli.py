@@ -11,13 +11,14 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import reprlib
 import sys
 from typing import Optional, Sequence
 
 from .enumeration import (BudgetError, GenFun, _check_budget, sorting_gf,
                           tangled_report)
 from .families import WParams, build_w_poset, inflation_spec_from_json
-from .formulas import (attach_antichain, broom_f, irf_bound,
+from .formulas import (CLOSED_FORM_MAX_N, attach_antichain, broom_f, irf_bound,
                        irf_tangled_by_element, ordinal_sum_antichains_g,
                        pedestal_coeffs, w_poset_tangled, weak_order_family)
 from .harness import (ALL_CHECKS, PosetCatalog, generate_posets, poset_levels,
@@ -50,14 +51,17 @@ def _add_threads_arg(cmd):
                      help="worker processes (default: machine parallelism)")
 
 
-def _load_labeled(args) -> tuple[Poset, tuple[int, ...]]:
+def _load_labeled(args, check_n=None) -> tuple[Poset, tuple[int, ...]]:
     """The ``--poset`` document and its ``--labeling``, parsed first so that a
-    document of another size is refused before its poset is built."""
+    document of another size is refused before its poset is built; then
+    ``check_n``, when given, sees the size as well."""
     labels = parse_labeling(args.labeling)
 
     def same_length(n: int) -> None:
         if n != len(labels):
-            raise ValueError(f"labeling {labels!r} is not a bijection onto 1..{n}")
+            raise ValueError(f"labeling {reprlib.repr(labels)} is not a bijection onto 1..{n}")
+        if check_n is not None:
+            check_n(n)
 
     p = load_poset(args.poset, same_length)
     return p, validate_labeling(p, labels)
@@ -265,7 +269,13 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_export_dot(args) -> int:
-    p, labels = _load_labeled(args) if args.labeling else (load_poset(args.poset), None)
+    def drawable(n: int) -> None:
+        if n > CLOSED_FORM_MAX_N:
+            raise BudgetError(f"export-dot draws at most {CLOSED_FORM_MAX_N} elements, "
+                              f"got {reprlib.repr(n)}")
+
+    p, labels = (_load_labeled(args, drawable) if args.labeling
+                 else (load_poset(args.poset, drawable), None))
     text = export_dot(p, labels)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -1,9 +1,13 @@
 """Exhaustive enumeration over all labelings of a poset.
 
-Labelings are enumerated as permutations in lexicographic order, which is
-exactly the order of their factorial-base ranks: the space splits into
-contiguous rank ranges, so multi-process runs partition deterministically
-and merge by plain addition.  Everything here is exact integer arithmetic.
+Work is cut into tasks by fixed tails of the position array: a task pins
+the elements holding the top labels and runs over every arrangement of the
+other labels.  ``sorting_gf`` has one task per holder of label n, and
+``tangled_report`` one per (basin, element above it) pair, the search block
+of the tangled-chain lemma below.  The task list depends only on the poset,
+never on the worker count, which only sets how many processes share it (at
+most one per task); results merge by plain addition.  Everything here is
+exact integer arithmetic.
 
 Tangled counting visits a smaller space, by the tangled-chain lemma: after
 k promotions of a labeling whose label n sits on a basin b, the element
@@ -25,15 +29,15 @@ by accident.
 
 from __future__ import annotations
 
-import math
 import os
+import reprlib
 from dataclasses import dataclass
-from itertools import accumulate, islice, permutations
+from itertools import accumulate, permutations
 from multiprocessing import Pool
 from typing import Sequence
 
 from .posets import Poset, _bits, basins
-from .promotion import InternalError, _advance, _is_natural_pos, _is_tangled_pos
+from .promotion import _is_tangled_pos, _order_pos
 
 DEFAULT_MAX_N = 9
 
@@ -45,7 +49,7 @@ class BudgetError(RuntimeError):
 def _check_budget(n: int, force: bool, cap: int = DEFAULT_MAX_N, what: str = "enumeration") -> None:
     if n > cap and not force:
         raise BudgetError(
-            f"{what} over {n} elements exceeds the default budget of {cap}; "
+            f"{what} over {reprlib.repr(n)} elements exceeds the default budget of {cap}; "
             f"pass force=True (--force on the command line) to run anyway")
 
 
@@ -98,86 +102,52 @@ def sequence_shape(values: Sequence[int]) -> SequenceShape:
     return SequenceShape(unimodal=unimodal, log_concave=log_concave)
 
 
-# -- permutation ranking ------------------------------------------------------
-
-def unrank_permutation(rank: int, n: int) -> tuple:
-    """The permutation of range(n) at position ``rank`` in lexicographic order."""
-    total = math.factorial(n)
-    if not 0 <= rank < total:
-        raise ValueError(f"rank {rank} out of range for n={n}")
-    pool = list(range(n))
-    out = []
-    for i in range(n - 1, -1, -1):
-        f = math.factorial(i)
-        digit, rank = divmod(rank, f)
-        out.append(pool.pop(digit))
-    return tuple(out)
-
-
-def _split_ranges(total: int, parts: int) -> list[tuple[int, int]]:
-    parts = max(1, min(parts, total)) if total else 1
-    step, extra = divmod(total, parts)
-    ranges = []
-    lo = 0
-    for i in range(parts):
-        hi = lo + step + (1 if i < extra else 0)
-        ranges.append((lo, hi))
-        lo = hi
-    return ranges
-
-
-# -- order histogram (sorting generating function) -----------------------------
-
-def _order_histogram_chunk(args) -> list[int]:
-    """Count sorting times over the lexicographic rank range [lo, hi)."""
-    p, lo, hi = args
-    above, below = p.above, p.below
-    counts = [0] * p.n
-    for perm in islice(permutations(range(p.n)), lo, hi):
-        pos = list(perm)
-        for steps in range(p.n):
-            if _is_natural_pos(below, pos):
-                break
-            _advance(above, pos)
-        else:
-            raise InternalError("promotion failed to sort within n - 1 steps")
-        counts[steps] += 1
-    return counts
-
-
-def _pool_size(workers: int) -> int:
-    """``workers`` capped at the machine's CPU count; rejects counts below 1."""
-    if workers < 1:
-        raise ValueError(f"worker count must be at least 1, got {workers}")
-    return min(workers, os.cpu_count() or 1)
-
+# -- task dispatch -------------------------------------------------------------
 
 def _run_chunks(worker, tasks, workers: int):
     """``[worker(t) for t in tasks]``, on a process pool when that can help.
 
     The pool gets at most one process per task and per CPU; with a single
-    process the tasks run in this process and no pool starts.
+    process the tasks run in this process and no pool starts.  A worker
+    count below 1 is a ``ValueError``.
     """
-    processes = min(_pool_size(workers), len(tasks))
+    if workers < 1:
+        raise ValueError(f"worker count must be at least 1, got {workers}")
+    processes = min(workers, os.cpu_count() or 1, len(tasks))
     if processes <= 1:
         return [worker(t) for t in tasks]
     with Pool(processes=processes) as pool:
         return pool.map(worker, tasks)
 
 
+def _histogram(p: Poset, task, tails, workers: int) -> list[int]:
+    """Sum of ``task((p, tail))`` over ``tails``; zeros when there are none."""
+    results = _run_chunks(task, [(p, tail) for tail in tails], workers)
+    return [sum(col) for col in zip([0] * p.n, *results)]
+
+
+# -- order histogram (sorting generating function) -----------------------------
+
+def _order_task(args) -> list[int]:
+    """Sorting-time counts over the labelings whose top labels sit on ``tail``."""
+    p, tail = args
+    above, below = p.above, p.below
+    counts = [0] * p.n
+    others = [e for e in range(p.n) if e not in tail]
+    for perm in permutations(others):
+        counts[_order_pos(above, below, [*perm, *tail])] += 1
+    return counts
+
+
 def sorting_gf(p: Poset, workers: int = 1, force: bool = False) -> GenFun:
     """Coefficient i counts the labelings with sorting time exactly i.
 
-    Enumerates all n! labelings; coefficients sum to n! and vanish at index
-    n - 1 and beyond only as the structure dictates (index n - 1 counts the
-    tangled labelings).
+    Enumerates all n! labelings, one task per holder of label n;
+    coefficients sum to n! and vanish at index n - 1 and beyond only as the
+    structure dictates (index n - 1 counts the tangled labelings).
     """
     _check_budget(p.n, force)
-    total = math.factorial(p.n)
-    tasks = [(p, lo, hi) for lo, hi in _split_ranges(total, _pool_size(workers))]
-    results = _run_chunks(_order_histogram_chunk, tasks, workers)
-    merged = [sum(col) for col in zip(*results)]
-    return GenFun(tuple(merged))
+    return GenFun(tuple(_histogram(p, _order_task, [(e,) for e in range(p.n)], workers)))
 
 
 def cumulative_gf(p: Poset, workers: int = 1, force: bool = False) -> GenFun:
@@ -200,27 +170,15 @@ class TangleReport:
             raise ValueError("total does not match the by-element split")
 
 
-def _tangled_chunk(args) -> list[int]:
-    """Tangled counts by element over a global rank range.
-
-    The global space is (index of a (basin, element above it) pair) x (rank
-    of the arrangement of labels 1..n-2 over the other elements); label n
-    sits on the basin and label n - 1 on the element above it.
-    """
-    p, pairs, lo, hi = args
-    n = p.n
+def _tangled_task(args) -> list[int]:
+    """Tangled counts over the labelings with label n - 1 on ``tail[0]`` and
+    label n on the basin ``tail[1]``, all credited to ``tail[0]``."""
+    p, tail = args
     above = p.above
-    block = math.factorial(n - 2)
-    by_element = [0] * n
-    for k, (basin, runner_up) in enumerate(pairs):
-        start = k * block
-        k_lo, k_hi = max(lo, start) - start, min(hi, start + block) - start
-        if k_lo >= k_hi:
-            continue
-        others = [e for e in range(n) if e != basin and e != runner_up]
-        for perm in islice(permutations(others), k_lo, k_hi):
-            if _is_tangled_pos(above, [*perm, runner_up, basin]):
-                by_element[runner_up] += 1
+    others = [e for e in range(p.n) if e not in tail]
+    by_element = [0] * p.n
+    by_element[tail[0]] = sum(
+        1 for perm in permutations(others) if _is_tangled_pos(above, [*perm, *tail]))
     return by_element
 
 
@@ -237,9 +195,6 @@ def tangled_report(p: Poset, workers: int = 1, force: bool = False) -> TangleRep
     if p.n < 2:
         raise ValueError("tangled labelings need at least two elements")
     _check_budget(p.n, force)
-    pairs = [(b, r) for b in basins(p) for r in _bits(p.above[b])]
-    total_space = len(pairs) * math.factorial(p.n - 2)
-    tasks = [(p, pairs, lo, hi) for lo, hi in _split_ranges(total_space, _pool_size(workers))]
-    results = _run_chunks(_tangled_chunk, tasks, workers)
-    by_element = tuple(sum(col) for col in zip(*results))
+    pairs = [(r, b) for b in basins(p) for r in _bits(p.above[b])]
+    by_element = _histogram(p, _tangled_task, pairs, workers)
     return TangleReport(sum(by_element), by_element)

@@ -13,6 +13,7 @@ Three families appear throughout the package:
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -196,7 +197,7 @@ def _validate_forest(parents: tuple) -> None:
         raise ForestError("a forest needs at least one node")
     for q, par in enumerate(parents):
         if par is not None and (type(par) is not int or not 0 <= par < r):
-            raise ForestError(f"parent of node {q} is {par!r}")
+            raise ForestError(f"parent of node {q} is {reprlib.repr(par)}")
     for q in range(r):
         node = q
         for _ in range(r):

@@ -13,7 +13,7 @@ from __future__ import annotations
 import gzip
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 from .enumeration import (_check_budget, _run_chunks, sequence_shape, sorting_gf,
                           tangled_report)
@@ -191,7 +191,7 @@ def save_catalog(catalog: PosetCatalog, path) -> None:
             fh.write("\n")
 
 
-def load_catalog(path, connected_only: Optional[bool] = None) -> PosetCatalog:
+def load_catalog(path) -> PosetCatalog:
     opener = gzip.open if str(path).endswith(".gz") else open
     entries = []
     with opener(path, "rt", encoding="utf-8") as fh:
@@ -204,9 +204,8 @@ def load_catalog(path, connected_only: Optional[bool] = None) -> PosetCatalog:
     sizes = {p.n for p in entries}
     if len(sizes) != 1:
         raise ValueError(f"catalog mixes poset sizes {sorted(sizes)}")
-    if connected_only is None:
-        connected_only = all(p.is_connected() for p in entries)
-    return PosetCatalog(n=sizes.pop(), connected_only=connected_only, entries=tuple(entries))
+    return PosetCatalog(n=sizes.pop(), connected_only=all(p.is_connected() for p in entries),
+                        entries=tuple(entries))
 
 
 # -- conjecture checks -------------------------------------------------------------
@@ -239,11 +238,11 @@ class ConjectureReport:
         return self.refined_ok and self.equality_ok and self.hodges_ok and self.total_ok
 
 
-def check_conjectures(p: Poset, workers: int = 1, force: bool = False) -> ConjectureReport:
+def check_conjectures(p: Poset, force: bool = False) -> ConjectureReport:
     """Exhaustively test the tangled-count bounds on one poset (n >= 2)."""
     if p.n < 2:
         raise ValueError("conjecture checks need at least two elements")
-    report = tangled_report(p, workers=workers, force=force)
+    report = tangled_report(p, force=force)
     n = p.n
     m = len(p.minimals)
     bound = math.factorial(n - 2)

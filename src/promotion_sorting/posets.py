@@ -12,6 +12,7 @@ instances can be shared freely between threads and worker processes.
 from __future__ import annotations
 
 import json
+import reprlib
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 
@@ -32,9 +33,9 @@ def _validate_covers(n: int, covers: Iterable[Sequence[int]]) -> list[tuple[int,
     for pair in covers:
         a, b = pair
         if type(a) is not int or type(b) is not int:  # bool is an int subclass
-            raise SpecError(f"cover pair {pair!r} is not a pair of integers")
+            raise SpecError(f"cover pair {reprlib.repr(pair)} is not a pair of integers")
         if not (0 <= a < n and 0 <= b < n):
-            raise IndexError(f"cover pair ({a}, {b}) out of range for n={n}")
+            raise IndexError(f"cover pair {reprlib.repr((a, b))} out of range for n={n}")
         if a == b:
             raise CycleError(f"self-relation ({a}, {a}) is not irreflexive")
         pairs.append((a, b))
@@ -94,7 +95,7 @@ class Poset:
     def __init__(self, n: int, covers: Iterable[Sequence[int]] = (),
                  names: Optional[Sequence[str]] = None):
         if not isinstance(n, int) or n < 1:
-            raise ValueError(f"poset size must be a positive integer, got {n!r}")
+            raise ValueError(f"poset size must be a positive integer, got {reprlib.repr(n)}")
         pairs = _validate_covers(n, covers)
         above, below, heights = _closure_from_pairs(n, pairs)
         self.n = n
@@ -312,12 +313,12 @@ def poset_from_doc(doc, check_n: Optional[Callable[[int], None]] = None) -> Pose
     covers = doc["covers"]
     names = doc.get("names")
     if type(n) is not int:
-        raise SpecError(f'"n" must be an integer, got {n!r}')
+        raise SpecError(f'"n" must be an integer, got {reprlib.repr(n)}')
     if not isinstance(covers, list) or not all(
             isinstance(c, list) and len(c) == 2 for c in covers):
         raise SpecError('"covers" must be a list of [i, j] pairs')
     if names is not None and not isinstance(names, list):
-        raise SpecError(f'"names" must be a list, got {names!r}')
+        raise SpecError(f'"names" must be a list, got {reprlib.repr(names)}')
     if check_n is not None:
         check_n(n)
     return Poset(n, [tuple(c) for c in covers], names)

@@ -11,12 +11,12 @@ labeling is the order (or sorting time) of the labeling; it never exceeds
 
 The hot loops work on position arrays: ``pos[i]`` is the element holding
 label ``i + 1``.  The enumeration module runs these same kernels,
-``_advance``, ``_is_natural_pos`` and ``_is_tangled_pos``, in its chunk
-loops.
+``_order_pos`` and ``_is_tangled_pos``, in its task loops.
 """
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -37,7 +37,7 @@ def validate_labeling(p: Poset, labels: Sequence[int]) -> tuple[int, ...]:
     """Check that ``labels`` assigns 1..n bijectively; returns it as a tuple."""
     labels = tuple(labels)
     if len(labels) != p.n or sorted(labels) != list(range(1, p.n + 1)):
-        raise ValueError(f"labeling {labels!r} is not a bijection onto 1..{p.n}")
+        raise ValueError(f"labeling {reprlib.repr(labels)} is not a bijection onto 1..{p.n}")
     return labels
 
 
@@ -61,7 +61,8 @@ def parse_labeling(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.strip().split(","))
     except ValueError:
-        raise ValueError(f"labeling {text!r} is not comma-separated integers") from None
+        raise ValueError(
+            f"labeling {reprlib.repr(text)} is not comma-separated integers") from None
 
 
 def format_labeling(labels: Iterable[int]) -> str:
@@ -127,6 +128,19 @@ def _is_tangled_pos(above: Sequence[int], pos: list[int]) -> bool:
     return bool((up >> pos[0]) & 1)
 
 
+def _order_pos(above: Sequence[int], below: Sequence[int], pos: list[int]) -> int:
+    """Promote ``pos`` in place until it is natural; returns the step count.
+
+    Sorting never takes more than ``n - 1`` steps, so a labeling still
+    unsorted after that many is an ``InternalError`` rather than a hang.
+    """
+    for steps in range(len(pos)):
+        if _is_natural_pos(below, pos):
+            return steps
+        _advance(above, pos)
+    raise InternalError("promotion failed to sort within n - 1 steps")
+
+
 # -- public operations --------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -163,9 +177,7 @@ def promotion_path(p: Poset, labels: Sequence[int]) -> list[tuple[int, ...]]:
     labels = validate_labeling(p, labels)
     path = [labels]
     pos = positions_of(labels)
-    while not _is_natural_pos(p.below, pos):
-        if len(path) > p.n - 1:
-            raise InternalError("promotion failed to sort within n - 1 steps")
+    for _ in range(_order_pos(p.above, p.below, pos.copy())):
         _advance(p.above, pos)
         path.append(labels_of(pos))
     return path
@@ -173,13 +185,7 @@ def promotion_path(p: Poset, labels: Sequence[int]) -> list[tuple[int, ...]]:
 
 def order(p: Poset, labels: Sequence[int]) -> int:
     """Number of promotion steps needed to sort; at most ``n - 1``."""
-    labels = validate_labeling(p, labels)
-    pos = positions_of(labels)
-    for steps in range(p.n):
-        if _is_natural_pos(p.below, pos):
-            return steps
-        _advance(p.above, pos)
-    raise InternalError("promotion failed to sort within n - 1 steps")
+    return _order_pos(p.above, p.below, positions_of(validate_labeling(p, labels)))
 
 
 def frozen_set(p: Poset, labels: Sequence[int]) -> frozenset[int]:
@@ -245,9 +251,9 @@ def lift_labeling(p: Poset, labels: Sequence[int], indices: Sequence[int]) -> tu
     if k < 1:
         raise RangeError("need at least one new label index")
     if any(b <= a for a, b in zip(indices, indices[1:])):
-        raise RangeError(f"indices {indices!r} must be strictly increasing")
+        raise RangeError(f"indices {reprlib.repr(indices)} must be strictly increasing")
     if indices[0] < 1 or indices[-1] > p.n + k:
-        raise RangeError(f"indices {indices!r} must lie in 1..{p.n + k}")
+        raise RangeError(f"indices {reprlib.repr(indices)} must lie in 1..{p.n + k}")
     lifted = list(indices)
     for value in labels:
         for step in indices:

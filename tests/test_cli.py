@@ -302,7 +302,8 @@ def test_budget_refused_before_the_poset_is_built(capsys, tmp_path):
             (["order", "--labeling", "1"], 1, "error: labeling (1,) is not a bijection"),
             (["promote", "--labeling", "1"], 1, "error: labeling (1,)"),
             (["lift", "--labeling", "1", "--indices", "1"], 1, "error: labeling (1,)"),
-            (["export-dot", "--labeling", "1"], 1, "error: labeling (1,)")):
+            (["export-dot", "--labeling", "1"], 1, "error: labeling (1,)"),
+            (["export-dot"], 2, "budget")):
         tracemalloc.start()
         try:
             code = main([*argv, "--poset", str(big)])
@@ -311,6 +312,36 @@ def test_budget_refused_before_the_poset_is_built(capsys, tmp_path):
             tracemalloc.stop()
         assert code == expected and message in capsys.readouterr().err
         assert peak < 10 * 2**20
+
+
+def test_export_dot_admits_the_cap(capsys, tmp_path):
+    from promotion_sorting import antichain
+
+    path = tmp_path / "wide.json"
+    save_poset(antichain(400), path)
+    code, out, _ = run(capsys, "export-dot", "--poset", str(path))
+    assert code == 0 and out.count("[label=") == 400
+
+
+MEGABYTE = "x" * 10**6
+
+
+@pytest.mark.parametrize("doc, argv", [
+    ('{"n": ' + "[" * 900 + "]" * 900 + ', "covers": []}', ["gf"]),
+    ({"n": 3, "covers": [], "names": MEGABYTE}, ["gf"]),
+    ({"n": 3, "covers": [[MEGABYTE, 1]]}, ["gf"]),
+    ({"n": 3, "covers": []}, ["order", "--labeling", MEGABYTE]),
+    ({"n": 3, "covers": []}, ["order", "--labeling", ",".join(["1"] * 200_000)]),
+    ({"parents": [MEGABYTE], "fibers": [{"n": 1, "covers": []}]}, ["irf", "--bound"]),
+], ids=["nested-n", "names", "cover", "labeling-text", "labeling-length", "irf-parent"])
+def test_error_messages_stay_short(capsys, tmp_path, doc, argv):
+    # the offending value is echoed in abbreviated form, not in full
+    path = tmp_path / "doc.json"
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    flag = "--spec" if argv[0] == "irf" else "--poset"
+    code, out, err = run(capsys, *argv, flag, str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and len(err) < 500
 
 
 @pytest.mark.parametrize("argv", [

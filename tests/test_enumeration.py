@@ -1,6 +1,6 @@
-"""Brute-force enumeration: generating functions, tangled reports, unranking."""
+"""Brute-force enumeration: generating functions, tangled reports, task lists."""
 
-from itertools import islice, permutations
+from itertools import permutations
 from math import factorial
 
 import pytest
@@ -22,7 +22,6 @@ from promotion_sorting import (
     sequence_shape,
     sorting_gf,
     tangled_report,
-    unrank_permutation,
 )
 from promotion_sorting.promotion import _advance, labels_of
 
@@ -138,7 +137,6 @@ def test_defective_kernel_fails_instead_of_hanging(monkeypatch):
         raise AssertionError("no pool may start")
 
     monkeypatch.setattr(enumeration, "Pool", no_pool)
-    monkeypatch.setattr(enumeration, "_advance", lambda above, pos: None)
     monkeypatch.setattr(promotion, "_advance", lambda above, pos: None)
     with pytest.raises(InternalError):
         sorting_gf(chain(3), workers=1)
@@ -198,10 +196,10 @@ def test_tangled_chain_lemma_and_full_space_oracle():
 @pytest.mark.parametrize("p", [build_w_poset(WParams(1, 1, 1, 1)), THREE_BASINS],
                          ids=["W(1,1,1,1)", "three-basins"])
 def test_tangled_split_invariance(monkeypatch, p):
-    # every split of the (basin, runner-up) x (n-2)! rank space, into 1..7
-    # parts, sums to the serial vector, with range edges falling inside pair
-    # blocks; a fake pool runs the tasks in this process, so nothing is
-    # spawned
+    # every worker count from 2 to 7 dispatches the same task list, one task
+    # per holder of label n for f and one per (basin, element above it) pair
+    # for tangled counts, and sums to the serial result; a fake pool runs the
+    # tasks in this process, so nothing is spawned
     from promotion_sorting import enumeration
 
     seen = []
@@ -217,18 +215,48 @@ def test_tangled_split_invariance(monkeypatch, p):
             return False
 
         def map(self, worker, tasks):
-            seen.append([(lo, hi) for _, _, lo, hi in tasks])
+            seen.append([tail for _, tail in tasks])
             return [worker(t) for t in tasks]
 
     monkeypatch.setattr(enumeration, "Pool", FakePool)
     monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 7)
-    serial = tangled_report(p).by_element
-    block = factorial(p.n - 2)
-    total = sum(p.above[b].bit_count() for b in basins(p)) * block
+    serial_f = sorting_gf(p).coeffs
+    serial_tangled = tangled_report(p).by_element
     for parts in range(2, 8):
-        assert tangled_report(p, workers=parts).by_element == serial
-    assert seen == [enumeration._split_ranges(total, parts) for parts in range(2, 8)]
-    assert any(hi % block for ranges in seen for _, hi in ranges[:-1])
+        assert sorting_gf(p, workers=parts).coeffs == serial_f
+        assert tangled_report(p, workers=parts).by_element == serial_tangled
+    holders = [(e,) for e in range(p.n)]
+    pairs = [(r, b) for b in basins(p) for r in range(p.n) if (p.above[b] >> r) & 1]
+    assert seen == [holders, pairs] * 6
+    assert len(pairs) == sum(p.above[b].bit_count() for b in basins(p))
+
+
+def test_task_lists_cover_each_space_once(monkeypatch):
+    # sorting_gf visits each of the n! labelings once, and tangled_report
+    # exactly the labelings with label n on a basin and label n - 1 strictly
+    # above it, each once; recorders stand in for the two kernels
+    from promotion_sorting import enumeration
+
+    visits = []
+
+    def record(*args):
+        visits.append(tuple(args[-1]))
+        return 0
+
+    monkeypatch.setattr(enumeration, "_order_pos", record)
+    monkeypatch.setattr(enumeration, "_is_tangled_pos", record)
+    for n in range(1, 6):
+        for p in generate_posets(n).entries:
+            visits.clear()
+            sorting_gf(p)
+            assert sorted(visits) == list(permutations(range(n)))
+            if n < 2:
+                continue
+            visits.clear()
+            tangled_report(p)
+            want = [pos for pos in permutations(range(n))
+                    if pos[-1] in basins(p) and (p.above[pos[-1]] >> pos[-2]) & 1]
+            assert sorted(visits) == want
 
 
 def test_tangled_single_element():
@@ -246,22 +274,6 @@ def test_sequence_shape():
     # log-concavity fails on an interior dip even though unimodality may hold
     assert sequence_shape((1, 1, 4, 1)).log_concave is False
     assert sequence_shape((0, 5, 0, 5)).unimodal is False
-
-
-def test_unrank_is_lexicographic():
-    for n in (1, 2, 3, 4, 5):
-        want = list(permutations(range(n)))
-        got = [unrank_permutation(r, n) for r in range(factorial(n))]
-        assert got == want
-
-
-def test_unrank_matches_islice_partition():
-    n = 5
-    lo, hi = 37, 101
-    direct = list(islice(permutations(range(n)), lo, hi))
-    assert [unrank_permutation(r, n) for r in range(lo, hi)] == direct
-    with pytest.raises(ValueError):
-        unrank_permutation(factorial(n), n)
 
 
 def test_budget_refusal():
