@@ -34,6 +34,9 @@ class _Parser(argparse.ArgumentParser):
     """argparse variant that reports usage problems with exit code 1."""
 
     def error(self, message):
+        # argparse quotes the offending value whole; keep only both ends
+        if len(message) > 160:
+            message = f"{message[:80]}...{message[-80:]}"
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 

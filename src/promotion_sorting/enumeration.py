@@ -1,13 +1,27 @@
 """Exhaustive enumeration over all labelings of a poset.
 
 Work is cut into tasks by fixed tails of the position array: a task pins
-the elements holding the top labels and runs over every arrangement of the
-other labels.  ``sorting_gf`` has one task per holder of label n, and
-``tangled_report`` one per (basin, element above it) pair, the search block
-of the tangled-chain lemma below.  The task list depends only on the poset,
-never on the worker count, which only sets how many processes share it (at
-most one per task); results merge by plain addition.  Everything here is
-exact integer arithmetic.
+the elements holding the top labels.  ``sorting_gf`` has one task per root
+tail (below), and ``tangled_report`` one per (basin, element above it)
+pair, the search block of the tangled-chain lemma below.  The task list
+depends only on the poset, never on the worker count, which only sets how
+many processes share it (at most one per task); results merge by plain
+addition.  Everything here is exact integer arithmetic.
+
+The sorting generating function is read off the inverse-promotion forest.
+Promotion maps the n! labelings to themselves, and it permutes the natural
+ones, which are sorted; so a labeling's order is its depth in the forest
+whose roots are the natural labelings.  ``sorting_gf`` walks each tree
+backward with ``_preimages``, producing every labeling exactly once, as a
+preimage of its image, at depth equal to its order; nothing is promoted
+forward.  Each root has exactly one natural preimage, which is dropped.
+Promotion sends natural labelings to natural ones, so every preimage of a
+labeling at depth 1 or more is unnatural, and no naturality test runs
+below depth 1.  A preimage whose label n is not on a maximal element has no
+preimages of its own, so it is counted without being built.  A task holds
+the roots that share their root tail, the elements holding labels n - 1 and
+n.  A labeling deeper than n - 1, or a total other than n!, raises
+``InternalError``.
 
 Tangled counting visits a smaller space, by the tangled-chain lemma: after
 k promotions of a labeling whose label n sits on a basin b, the element
@@ -33,11 +47,13 @@ import os
 import reprlib
 from dataclasses import dataclass
 from itertools import accumulate, permutations
+from math import factorial
 from multiprocessing import Pool
 from typing import Sequence
 
 from .posets import Poset, _bits, basins
-from .promotion import _is_tangled_pos, _order_pos
+from .promotion import (InternalError, _is_natural_pos, _is_tangled_pos, _natural_positions,
+                        _preimages, _unwalk)
 
 DEFAULT_MAX_N = 9
 
@@ -128,26 +144,48 @@ def _histogram(p: Poset, task, tails, workers: int) -> list[int]:
 
 # -- order histogram (sorting generating function) -----------------------------
 
-def _order_task(args) -> list[int]:
-    """Sorting-time counts over the labelings whose top labels sit on ``tail``."""
+def _gf_task(args) -> list[int]:
+    """Sorting-time counts over the inverse-promotion trees rooted at the
+    natural labelings whose top labels sit on ``tail``."""
     p, tail = args
-    above, below = p.above, p.below
-    counts = [0] * p.n
-    others = [e for e in range(p.n) if e not in tail]
-    for perm in permutations(others):
-        counts[_order_pos(above, below, [*perm, *tail])] += 1
+    above, below, n = p.above, p.below, p.n
+    maximal = sum(1 << e for e in p.maximals)
+    counts = [0] * n
+    stack = []
+    for root in _natural_positions(below, (1 << n) - 1 - sum(1 << e for e in tail)):
+        root += tail
+        counts[0] += 1
+        stack += [(pos, 1) for pos in _preimages(above, below, root)
+                  if not _is_natural_pos(below, pos)]
+    while stack:
+        q, depth = stack.pop()
+        counts[depth] += 1
+        if above[q[-1]]:
+            continue
+        # q has a preimage (label 1 started on q[-1]), one step deeper
+        if depth == n - 1:
+            raise InternalError("a labeling needs more than n - 1 promotions to sort")
+        children: list[list[int]] = []
+        counts[depth + 1] += _unwalk(above, below, q, n - 1, [q[-1], *q[:-1]], maximal, children)
+        stack += [(pos, depth + 1) for pos in children]
     return counts
 
 
 def sorting_gf(p: Poset, workers: int = 1, force: bool = False) -> GenFun:
     """Coefficient i counts the labelings with sorting time exactly i.
 
-    Enumerates all n! labelings, one task per holder of label n;
-    coefficients sum to n! and vanish at index n - 1 and beyond only as the
-    structure dictates (index n - 1 counts the tangled labelings).
+    Walks the inverse-promotion forest from the natural labelings (see the
+    module docstring), one task per root tail; coefficients sum to n! and
+    index n - 1 counts the tangled labelings.
     """
     _check_budget(p.n, force)
-    return GenFun(tuple(_histogram(p, _order_task, [(e,) for e in range(p.n)], workers)))
+    tails = [(a, b) for b in p.maximals for a in range(p.n)
+             if a != b and not p.above[a] & ~(1 << b)] if p.n > 1 else [(0,)]
+    coeffs = _histogram(p, _gf_task, tails, workers)
+    if sum(coeffs) != factorial(p.n):
+        raise InternalError(f"the inverse-promotion forest holds {sum(coeffs)} labelings, "
+                            f"not {p.n}!")
+    return GenFun(tuple(coeffs))
 
 
 def cumulative_gf(p: Poset, workers: int = 1, force: bool = False) -> GenFun:

@@ -10,17 +10,19 @@ labeling is the order (or sorting time) of the labeling; it never exceeds
 ``n - 1``, and labelings attaining ``n - 1`` are called tangled.
 
 The hot loops work on position arrays: ``pos[i]`` is the element holding
-label ``i + 1``.  The enumeration module runs these same kernels,
-``_order_pos`` and ``_is_tangled_pos``, in its task loops.
+label ``i + 1``.  The enumeration module runs these same kernels in its
+task loops: ``_is_tangled_pos`` forward, and ``_preimages`` (through
+``_unwalk``), the exact inverse of one step, backward from the natural
+labelings.
 """
 
 from __future__ import annotations
 
 import reprlib
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .posets import Poset, antichain, basins, ordinal_sum
+from .posets import Poset, _bits, antichain, basins, ordinal_sum
 
 
 class InternalError(RuntimeError):
@@ -94,6 +96,59 @@ def _advance(above: Sequence[int], pos: list[int]) -> None:
     pos.append(x)
 
 
+def _preimages(above: Sequence[int], below: Sequence[int], q: list[int]) -> list[list[int]]:
+    """Every ``pos`` with ``_advance(pos) == q``: the exact inverse of ``_advance``.
+
+    A step ends with its walked label on a maximal element, so there are
+    none unless ``q[-1]`` is maximal.  Otherwise there is one preimage per
+    chain of indices ``t_1 < .. < t_m < n - 1`` whose elements increase in
+    the order, ``q[t_1] < .. < q[t_m] < q[n - 1]``, and where nothing
+    before ``t_1``, or strictly between one chain index and the next, lies
+    above the later element: read backward, that is the forward walk's rule
+    of swapping with the first label above.  The walk started on ``q[t_1]`` and swapped
+    ``q[t_{i+1}]`` out of position ``t_i + 1``, so the preimage has
+    ``pos[0] = q[t_1]``, ``pos[t_i + 1] = q[t_{i+1}]`` (``t_{m+1} = n - 1``)
+    and ``pos[j + 1] = q[j]`` at every other ``j``.
+    """
+    if above[q[-1]]:
+        return []
+    out: list[list[int]] = []
+    _unwalk(above, below, q, len(q) - 1, [q[-1], *q[:-1]], -1, out)
+    return out
+
+
+def _unwalk(above: Sequence[int], below: Sequence[int], q: list[int], t: int,
+            pre: list[int], ends: int, out: list[list[int]]) -> int:
+    """The chain search of ``_preimages``, from the chain element at index ``t``.
+
+    ``pre`` holds ``q`` shifted right by one, with the links chosen so far
+    written in.  Scanning back from ``t``, every element below ``q[t]`` met
+    before the first one above it can be the next (lower) chain element;
+    the chain can end at ``t`` only when nothing before ``t`` is above it.
+    A finished preimage is appended to ``out`` when its last entry is in the
+    bitmask ``ends``, and only counted otherwise; returns that count.
+    """
+    x = q[t]
+    up, down = above[x], below[x]
+    skipped = 0
+    j = t - 1
+    while j >= 0:
+        y = q[j]
+        if (up >> y) & 1:
+            break
+        if (down >> y) & 1:
+            pre[j + 1] = x
+            skipped += _unwalk(above, below, q, j, pre, ends, out)
+            pre[j + 1] = y
+        j -= 1
+    else:
+        pre[0] = x
+        if not (ends >> pre[-1]) & 1:
+            return skipped + 1
+        out.append(pre.copy())
+    return skipped
+
+
 def _is_natural_pos(below: Sequence[int], pos: Sequence[int]) -> bool:
     """Whether every prefix of ``pos`` is a lower order ideal.
 
@@ -106,6 +161,22 @@ def _is_natural_pos(below: Sequence[int], pos: Sequence[int]) -> bool:
             return False
         seen |= 1 << e
     return True
+
+
+def _natural_positions(below: Sequence[int], todo: int, seen: int = 0) -> Iterator[list[int]]:
+    """Every order of the elements of the bitmask ``todo`` that keeps each
+    prefix, together with ``seen``, a lower order ideal.
+
+    With ``seen`` empty and ``todo`` a lower order ideal, these are the
+    natural position arrays of the subposet on ``todo``.
+    """
+    if not todo:
+        yield []
+        return
+    for e in _bits(todo):
+        if not below[e] & ~seen:
+            for rest in _natural_positions(below, todo & ~(1 << e), seen | 1 << e):
+                yield [e, *rest]
 
 
 def _is_tangled_pos(above: Sequence[int], pos: list[int]) -> bool:

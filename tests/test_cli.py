@@ -345,6 +345,19 @@ def test_error_messages_stay_short(capsys, tmp_path, doc, argv):
 
 
 @pytest.mark.parametrize("argv", [
+    ("verify", "--max-n", "3", "--conjecture", "x" * 100_000),
+    ("gf", "--poset", "unread.json", "--threads", "9" * 5_000),
+], ids=["conjecture", "threads"])
+def test_usage_error_messages_stay_short(capsys, argv):
+    # argparse quotes the offending value; the usage error abbreviates it
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and len(err) < 500
+
+
+@pytest.mark.parametrize("argv", [
     ("gf", "--poset"),
     ("order", "--labeling", "1", "--poset"),
     ("irf", "--element", "0", "--spec"),

@@ -17,6 +17,7 @@ from promotion_sorting import (
     chain,
     cumulative_gf,
     generate_posets,
+    is_natural,
     order,
     ordinal_sum,
     sequence_shape,
@@ -93,7 +94,8 @@ def test_worker_determinism():
 
 def test_worker_count_is_clamped(monkeypatch):
     # a fake pool records the process count it is asked for and runs the
-    # tasks in this process, so nothing is ever spawned
+    # tasks in this process, so nothing is ever spawned; THREE_BASINS has
+    # nine root tails, so its gf tasks outnumber the three CPUs
     from promotion_sorting import enumeration, generate_posets, scan_catalog
 
     asked = []
@@ -114,7 +116,7 @@ def test_worker_count_is_clamped(monkeypatch):
     monkeypatch.setattr(enumeration, "Pool", FakePool)
     monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 3)
     cat = generate_posets(4, connected=True)
-    assert sorting_gf(T222, workers=64) == sorting_gf(T222)
+    assert sorting_gf(THREE_BASINS, workers=64) == sorting_gf(THREE_BASINS)
     assert scan_catalog(cat, workers=64) == scan_catalog(cat)
     monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 64)
     assert scan_catalog(cat, workers=1000) == scan_catalog(cat)
@@ -130,16 +132,19 @@ def test_worker_count_is_clamped(monkeypatch):
 
 
 def test_defective_kernel_fails_instead_of_hanging(monkeypatch):
-    # a step that never moves anything must trip the n - 1 step cap
+    # an inverse step that maps each labeling to itself, a cycle, must fail
+    # the forest's n! total, and a step that never moves anything must trip
+    # the n - 1 step cap of order
     from promotion_sorting import enumeration, promotion
 
     def no_pool(processes):
         raise AssertionError("no pool may start")
 
     monkeypatch.setattr(enumeration, "Pool", no_pool)
-    monkeypatch.setattr(promotion, "_advance", lambda above, pos: None)
+    monkeypatch.setattr(enumeration, "_preimages", lambda above, below, q: [q])
     with pytest.raises(InternalError):
         sorting_gf(chain(3), workers=1)
+    monkeypatch.setattr(promotion, "_advance", lambda above, pos: None)
     with pytest.raises(InternalError):
         order(chain(3), (2, 1, 3))
 
@@ -197,9 +202,10 @@ def test_tangled_chain_lemma_and_full_space_oracle():
                          ids=["W(1,1,1,1)", "three-basins"])
 def test_tangled_split_invariance(monkeypatch, p):
     # every worker count from 2 to 7 dispatches the same task list, one task
-    # per holder of label n for f and one per (basin, element above it) pair
-    # for tangled counts, and sums to the serial result; a fake pool runs the
-    # tasks in this process, so nothing is spawned
+    # per root tail (the holders of labels n - 1 and n in a natural labeling)
+    # for f and one per (basin, element above it) pair for tangled counts,
+    # and sums to the serial result; a fake pool runs the tasks in this
+    # process, so nothing is spawned
     from promotion_sorting import enumeration
 
     seen = []
@@ -225,16 +231,19 @@ def test_tangled_split_invariance(monkeypatch, p):
     for parts in range(2, 8):
         assert sorting_gf(p, workers=parts).coeffs == serial_f
         assert tangled_report(p, workers=parts).by_element == serial_tangled
-    holders = [(e,) for e in range(p.n)]
+    root_tails = sorted({perm[-2:] for perm in permutations(range(p.n))
+                         if is_natural(p, labels_of(perm))})
     pairs = [(r, b) for b in basins(p) for r in range(p.n) if (p.above[b] >> r) & 1]
-    assert seen == [holders, pairs] * 6
+    assert [sorted(tails) for tails in seen[::2]] == [root_tails] * 6
+    assert seen[1::2] == [pairs] * 6
     assert len(pairs) == sum(p.above[b].bit_count() for b in basins(p))
 
 
 def test_task_lists_cover_each_space_once(monkeypatch):
-    # sorting_gf visits each of the n! labelings once, and tangled_report
-    # exactly the labelings with label n on a basin and label n - 1 strictly
-    # above it, each once; recorders stand in for the two kernels
+    # sorting_gf gives each of the n! labelings its order, and
+    # tangled_report visits exactly the labelings with label n on a basin
+    # and label n - 1 strictly above it, each once; a recorder stands in for
+    # the tangled kernel
     from promotion_sorting import enumeration
 
     visits = []
@@ -243,14 +252,14 @@ def test_task_lists_cover_each_space_once(monkeypatch):
         visits.append(tuple(args[-1]))
         return 0
 
-    monkeypatch.setattr(enumeration, "_order_pos", record)
     monkeypatch.setattr(enumeration, "_is_tangled_pos", record)
-    for n in range(1, 6):
+    for n in range(1, 7):
         for p in generate_posets(n).entries:
-            visits.clear()
-            sorting_gf(p)
-            assert sorted(visits) == list(permutations(range(n)))
-            if n < 2:
+            counts = [0] * n
+            for labels in permutations(range(1, n + 1)):
+                counts[order(p, labels)] += 1
+            assert sorting_gf(p).coeffs == tuple(counts)
+            if not 2 <= n <= 5:
                 continue
             visits.clear()
             tangled_report(p)

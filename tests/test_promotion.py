@@ -202,3 +202,27 @@ def test_order_bound_on_all_small_labelings():
             assert 0 <= k <= p.n - 1
             path = promotion_path(p, perm)
             assert len(path) == k + 1
+
+
+def test_preimages_invert_one_step_on_small_catalogs():
+    # every labeling of every poset with n <= 5: _preimages is exactly the
+    # set of position arrays that one step sends to q, and the natural
+    # position arrays are exactly those that pass the naturality test
+    from itertools import permutations
+
+    from promotion_sorting import generate_posets
+    from promotion_sorting.promotion import (
+        _advance, _is_natural_pos, _natural_positions, _preimages)
+
+    for n in range(1, 6):
+        for p in generate_posets(n).entries:
+            inverse = {q: [] for q in permutations(range(n))}
+            for perm in permutations(range(n)):
+                pos = list(perm)
+                _advance(p.above, pos)
+                inverse[tuple(pos)].append(list(perm))
+            for q, want in inverse.items():
+                assert sorted(_preimages(p.above, p.below, list(q))) == sorted(want)
+            natural = [list(perm) for perm in permutations(range(n))
+                       if _is_natural_pos(p.below, perm)]
+            assert sorted(_natural_positions(p.below, (1 << n) - 1)) == natural

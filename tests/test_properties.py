@@ -33,6 +33,7 @@ from promotion_sorting import (
     standardize,
     tangled_report,
 )
+from promotion_sorting.promotion import _advance, _preimages, positions_of
 
 
 @st.composite
@@ -284,6 +285,22 @@ def test_promote_matches_reference(case):
     step = promote(p, labels)
     assert (step.labels, step.chain) == reference_promote(p, labels)
     assert order(p, labels) == reference_order(p, labels)
+
+
+@settings(deadline=None, max_examples=300)
+@given(labeled_posets(min_n=1, max_n=8))
+def test_preimages_contain_every_labeling_and_only_preimages(case):
+    # pos is among the preimages of its own image, and every preimage
+    # returned advances to that image
+    p, labels = case
+    pos = positions_of(labels)
+    q = pos.copy()
+    _advance(p.above, q)
+    found = _preimages(p.above, p.below, q)
+    assert pos in found
+    for pre in found:
+        _advance(p.above, pre)
+        assert pre == q
 
 
 def test_enumeration_matches_reference_on_catalogs():
