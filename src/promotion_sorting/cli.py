@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 from .enumeration import (BudgetError, GenFun, _check_budget, sorting_gf,
                           tangled_report)
 from .families import WParams, build_w_poset, inflation_spec_from_json
-from .formulas import (CLOSED_FORM_MAX_N, attach_antichain, broom_f, irf_bound,
+from .formulas import (CLOSED_FORM_MAX_N, _check_size, attach_antichain, broom_f, irf_bound,
                        irf_tangled_by_element, ordinal_sum_antichains_g,
                        pedestal_coeffs, w_poset_tangled, weak_order_family)
 from .harness import (ALL_CHECKS, PosetCatalog, generate_posets, poset_levels,
@@ -54,17 +54,25 @@ def _add_threads_arg(cmd):
                      help="worker processes (default: machine parallelism)")
 
 
-def _load_labeled(args, check_n=None) -> tuple[Poset, tuple[int, ...]]:
+def _check_cap(command: str, n: int) -> None:
+    """Refuse a poset of more than ``CLOSED_FORM_MAX_N`` elements for the
+    commands that take one labeling or draw one poset; their work grows with
+    ``n``, and there is no override."""
+    if n > CLOSED_FORM_MAX_N:
+        raise BudgetError(f"{command} handles at most {CLOSED_FORM_MAX_N} elements, "
+                          f"got {reprlib.repr(n)}")
+
+
+def _load_labeled(args, extra: int = 0) -> tuple[Poset, tuple[int, ...]]:
     """The ``--poset`` document and its ``--labeling``, parsed first so that a
-    document of another size is refused before its poset is built; then
-    ``check_n``, when given, sees the size as well."""
+    document of another size is refused before its poset is built, and so is
+    one whose size plus ``extra`` exceeds ``_check_cap``."""
     labels = parse_labeling(args.labeling)
 
     def same_length(n: int) -> None:
         if n != len(labels):
             raise ValueError(f"labeling {reprlib.repr(labels)} is not a bijection onto 1..{n}")
-        if check_n is not None:
-            check_n(n)
+        _check_cap(args.command, n + extra)
 
     p = load_poset(args.poset, same_length)
     return p, validate_labeling(p, labels)
@@ -146,8 +154,8 @@ def _cmd_tangled(args) -> int:
 
 
 def _cmd_lift(args) -> int:
-    p, labels = _load_labeled(args)
     indices = [int(v) for v in args.indices.split(",")]
+    p, labels = _load_labeled(args, extra=len(indices))
     lifted_poset, lifted = lift_labeling(p, labels, indices)
     print(format_labeling(lifted))
     print(f"order: {order(lifted_poset, lifted)}")
@@ -156,7 +164,8 @@ def _cmd_lift(args) -> int:
 
 def _cmd_irf(args) -> int:
     with open(args.spec, "r", encoding="utf-8") as fh:
-        spec = inflation_spec_from_json(decode_json(fh.read()))
+        spec = inflation_spec_from_json(decode_json(fh.read()),
+                                        lambda n: _check_size(n, "inflated forest"))
     if args.bound:
         value = irf_bound(spec)
         print(f"bound sum: {value.numerator}/{value.denominator}"
@@ -272,13 +281,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_export_dot(args) -> int:
-    def drawable(n: int) -> None:
-        if n > CLOSED_FORM_MAX_N:
-            raise BudgetError(f"export-dot draws at most {CLOSED_FORM_MAX_N} elements, "
-                              f"got {reprlib.repr(n)}")
-
-    p, labels = (_load_labeled(args, drawable) if args.labeling
-                 else (load_poset(args.poset, drawable), None))
+    p, labels = (_load_labeled(args) if args.labeling
+                 else (load_poset(args.poset, lambda n: _check_cap(args.command, n)), None))
     text = export_dot(p, labels)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

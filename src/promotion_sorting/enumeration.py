@@ -12,16 +12,16 @@ The sorting generating function is read off the inverse-promotion forest.
 Promotion maps the n! labelings to themselves, and it permutes the natural
 ones, which are sorted; so a labeling's order is its depth in the forest
 whose roots are the natural labelings.  ``sorting_gf`` walks each tree
-backward with ``_preimages``, producing every labeling exactly once, as a
-preimage of its image, at depth equal to its order; nothing is promoted
-forward.  Each root has exactly one natural preimage, which is dropped.
-Promotion sends natural labelings to natural ones, so every preimage of a
-labeling at depth 1 or more is unnatural, and no naturality test runs
-below depth 1.  A preimage whose label n is not on a maximal element has no
-preimages of its own, so it is counted without being built.  A task holds
-the roots that share their root tail, the elements holding labels n - 1 and
-n.  A labeling deeper than n - 1, or a total other than n!, raises
-``InternalError``.
+backward, producing every labeling once, at depth equal to its order, and
+promotes nothing forward.  A task stacks the roots that share their root
+tail (the holders of labels n - 1 and n) at depth 0 and expands every node
+with one ``_preimages`` call: preimages with label n on a maximal element
+are pushed one level deeper, and the others, which have no preimages, are
+only counted there.  Each root's one natural preimage is among those built,
+since a natural labeling puts label n on a maximal element, and is dropped
+at depth 0; deeper preimages are never natural, as promotion maps natural
+labelings to natural ones.  A preimage built at depth n - 1 or counted at
+depth n, or a total other than n!, raises ``InternalError``.
 
 Tangled counting visits a smaller space, by the tangled-chain lemma: after
 k promotions of a labeling whose label n sits on a basin b, the element
@@ -53,7 +53,7 @@ from typing import Sequence
 
 from .posets import Poset, _bits, basins
 from .promotion import (InternalError, _is_natural_pos, _is_tangled_pos, _natural_positions,
-                        _preimages, _unwalk)
+                        _preimages)
 
 DEFAULT_MAX_N = 9
 
@@ -146,29 +146,24 @@ def _histogram(p: Poset, task, tails, workers: int) -> list[int]:
 
 def _gf_task(args) -> list[int]:
     """Sorting-time counts over the inverse-promotion trees rooted at the
-    natural labelings whose top labels sit on ``tail``."""
+    natural labelings whose top labels sit on ``tail`` (see the module docstring)."""
     p, tail = args
     above, below, n = p.above, p.below, p.n
     maximal = sum(1 << e for e in p.maximals)
-    counts = [0] * n
-    stack = []
-    for root in _natural_positions(below, (1 << n) - 1 - sum(1 << e for e in tail)):
-        root += tail
-        counts[0] += 1
-        stack += [(pos, 1) for pos in _preimages(above, below, root)
-                  if not _is_natural_pos(below, pos)]
+    counts = [0] * (n + 1)
+    stack = [([*root, *tail], 0)
+             for root in _natural_positions(below, (1 << n) - 1 - sum(1 << e for e in tail))]
     while stack:
         q, depth = stack.pop()
         counts[depth] += 1
-        if above[q[-1]]:
-            continue
-        # q has a preimage (label 1 started on q[-1]), one step deeper
-        if depth == n - 1:
-            raise InternalError("a labeling needs more than n - 1 promotions to sort")
         children: list[list[int]] = []
-        counts[depth + 1] += _unwalk(above, below, q, n - 1, [q[-1], *q[:-1]], maximal, children)
+        counts[depth + 1] += _preimages(above, below, q, maximal, children)
+        if not depth:
+            children = [pos for pos in children if not _is_natural_pos(below, pos)]
+        elif depth == n - 1 and (children or counts[n]):
+            raise InternalError("a labeling needs more than n - 1 promotions to sort")
         stack += [(pos, depth + 1) for pos in children]
-    return counts
+    return counts[:n]
 
 
 def sorting_gf(p: Poset, workers: int = 1, force: bool = False) -> GenFun:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import reprlib
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Callable, Mapping, Optional
 
 from .posets import DisconnectedError, Poset, SpecError, poset_from_doc
 
@@ -246,12 +246,15 @@ def build_inflation(spec: InflationSpec) -> tuple[Poset, tuple[int, ...]]:
     return Poset(total, covers), tuple(phi)
 
 
-def inflation_spec_from_json(doc: Mapping) -> InflationSpec:
+def inflation_spec_from_json(doc: Mapping,
+                             check_n: Optional[Callable[[int], None]] = None) -> InflationSpec:
     """Parse ``{"parents": [...], "fibers": [poset documents]}``.
 
     Parents must be integers or ``null`` and describe a rooted forest
     (:class:`ForestError` otherwise); each fiber is checked like any other
     poset document by :func:`~promotion_sorting.posets.poset_from_doc`.
+    ``check_n``, when given, sees the running total of the fiber sizes,
+    each fiber's size added before that fiber is built.
     """
     if not isinstance(doc, Mapping) or "parents" not in doc or "fibers" not in doc:
         raise SpecError('inflation document must carry "parents" and "fibers"')
@@ -259,4 +262,10 @@ def inflation_spec_from_json(doc: Mapping) -> InflationSpec:
     if not isinstance(parents, list) or not isinstance(fibers, list):
         raise SpecError('"parents" and "fibers" must be lists')
     _validate_forest(tuple(parents))
-    return InflationSpec(parents=parents, fibers=[poset_from_doc(f) for f in fibers])
+    built: list[Poset] = []
+    size = 0
+    for fiber in fibers:
+        built.append(poset_from_doc(fiber, None if check_n is None
+                                    else lambda n: check_n(size + n)))
+        size += built[-1].n
+    return InflationSpec(parents=parents, fibers=built)

@@ -4,11 +4,11 @@ Every function here returns exact integers, rationals or integer vectors;
 the matching enumeration oracles live in :mod:`promotion_sorting.enumeration`
 and the test suite keeps the two routes in agreement.
 
-The families built on a realized poset (W-posets, attached antichains,
-pedestals, stacks of antichains, brooms) refuse one larger than
-``CLOSED_FORM_MAX_N`` elements with ``BudgetError``: their big-integer
-arithmetic grows polynomially in that size, to at most about 0.4 s at the
-cap on a 2-vCPU machine.
+The families built on a realized poset (inflated forests, W-posets,
+attached antichains, pedestals, stacks of antichains, brooms) refuse one
+larger than ``CLOSED_FORM_MAX_N`` elements with ``BudgetError``: their
+big-integer arithmetic grows polynomially in that size, to at most about
+0.4 s at the cap on a 2-vCPU machine.
 """
 
 from __future__ import annotations
@@ -90,6 +90,7 @@ def irf_tangled_by_element(spec: InflationSpec, x: int) -> int:
     (n - n_t)! * C(n - 2, n_t - 2).
     """
     p, phi = build_inflation(spec)
+    _check_size(p.n, "inflated forest")
     if not 0 <= x < p.n:
         raise IndexError(f"element {x} out of range for {p.n} elements")
     if not p.below[x]:
@@ -116,7 +117,7 @@ def irf_bound(spec: InflationSpec) -> Fraction:
     With n elements and m leaves the value is 1 when n = 1 and otherwise at
     most (n - m)/(n - 1), strictly below it as soon as m > 1.
     """
-    build_inflation(spec)
+    _check_size(build_inflation(spec)[0].n, "inflated forest")
     roots = [q for q, par in enumerate(spec.parents) if par is None]
     if len(roots) != 1:
         raise ValueError("the leaf-sum bound applies to a single rooted tree")

@@ -17,7 +17,7 @@ from typing import Iterator, Sequence
 
 from .enumeration import (_check_budget, _run_chunks, sequence_shape, sorting_gf,
                           tangled_report)
-from .posets import Poset, _bits, poset_from_json, poset_to_json
+from .posets import Poset, _bits, funnel_and_basins, poset_from_json, poset_to_json
 
 CANON_MAX_N = 10
 GENERATION_MAX_N = 8
@@ -215,9 +215,9 @@ class ConjectureReport:
     """Evidence for the three tangled-count bounds on one poset.
 
     ``by_element[x]`` counts tangled labelings with label n - 1 on x.  The
-    per-element bound is (n-2)! with equality predicted exactly when one
-    minimal element sits below x; the aggregate bounds are (n-m)(n-2)! for m
-    minimal elements and (n-1)! overall.
+    per-element bound is (n-2)! with equality predicted exactly when x lies
+    in a funnel (one minimal element sits below it); the aggregate bounds
+    are (n-m)(n-2)! for m minimal elements and (n-1)! overall.
     """
 
     n: int
@@ -246,10 +246,8 @@ def check_conjectures(p: Poset, force: bool = False) -> ConjectureReport:
     n = p.n
     m = len(p.minimals)
     bound = math.factorial(n - 2)
-    minimal_mask = 0
-    for e in p.minimals:
-        minimal_mask |= 1 << e
-    expected = tuple((p.below[x] & minimal_mask).bit_count() == 1 for x in range(n))
+    in_funnel = frozenset().union(*funnel_and_basins(p).values())
+    expected = tuple(x in in_funnel for x in range(n))
     counts = report.by_element
     return ConjectureReport(
         n=n,

@@ -43,12 +43,15 @@ def _validate_covers(n: int, covers: Iterable[Sequence[int]]) -> list[tuple[int,
 
 
 def _closure_from_pairs(n: int, pairs: list[tuple[int, int]]):
-    """``above``, ``below`` (bitmasks) and ``heights`` of an acyclic relation.
+    """``above``, ``below`` (bitmasks), ``heights`` and sorted covers of an
+    acyclic relation.
 
-    One topological order drives all three: Kahn's algorithm releases x after
-    everything below it, so ``below[x]`` and ``heights[x]`` are final then and
-    are pushed into x's successors; ``above`` is collected backward over the
-    same order.  Raises CycleError when the relation has a directed cycle.
+    One topological order drives the first three: Kahn's algorithm releases
+    x after everything below it, so ``below[x]`` and ``heights[x]`` are final
+    then and are pushed into x's successors; ``above`` is collected backward
+    over the same order.  The covers are the input pairs with nothing
+    strictly between, as any generating relation contains every cover.
+    Raises CycleError when the relation has a directed cycle.
     """
     succ: list[list[int]] = [[] for _ in range(n)]
     indeg = [0] * n
@@ -77,7 +80,8 @@ def _closure_from_pairs(n: int, pairs: list[tuple[int, int]]):
         for y in succ[x]:
             acc |= (1 << y) | above[y]
         above[x] = acc
-    return above, below, heights
+    covers = sorted((x, y) for x in range(n) for y in succ[x] if not above[x] & below[y])
+    return above, below, heights, covers
 
 
 class Poset:
@@ -97,14 +101,11 @@ class Poset:
         if not isinstance(n, int) or n < 1:
             raise ValueError(f"poset size must be a positive integer, got {reprlib.repr(n)}")
         pairs = _validate_covers(n, covers)
-        above, below, heights = _closure_from_pairs(n, pairs)
+        above, below, heights, covers = _closure_from_pairs(n, pairs)
         self.n = n
         self.above = tuple(above)
         self.below = tuple(below)
-        # lexicographic (a, then b, ascending); a list, not a generator, sizes
-        # the tuple exactly, which keeps large catalogs at their old footprint
-        self.covers = tuple([(a, b) for a in range(n) for b in _bits(above[a])
-                             if not above[a] & below[b]])
+        self.covers = tuple(covers)
         self.heights = tuple(heights)
         self.minimals = tuple(x for x in range(n) if not below[x])
         self.maximals = tuple(x for x in range(n) if not above[x])

@@ -11,9 +11,9 @@ labeling is the order (or sorting time) of the labeling; it never exceeds
 
 The hot loops work on position arrays: ``pos[i]`` is the element holding
 label ``i + 1``.  The enumeration module runs these same kernels in its
-task loops: ``_is_tangled_pos`` forward, and ``_preimages`` (through
-``_unwalk``), the exact inverse of one step, backward from the natural
-labelings.
+task loops: ``_is_tangled_pos`` forward, and ``_preimages``, the exact
+inverse of one step, in the backward walk that its module docstring
+states.
 """
 
 from __future__ import annotations
@@ -96,7 +96,8 @@ def _advance(above: Sequence[int], pos: list[int]) -> None:
     pos.append(x)
 
 
-def _preimages(above: Sequence[int], below: Sequence[int], q: list[int]) -> list[list[int]]:
+def _preimages(above: Sequence[int], below: Sequence[int], q: list[int], ends: int,
+               out: list[list[int]]) -> int:
     """Every ``pos`` with ``_advance(pos) == q``: the exact inverse of ``_advance``.
 
     A step ends with its walked label on a maximal element, so there are
@@ -108,13 +109,13 @@ def _preimages(above: Sequence[int], below: Sequence[int], q: list[int]) -> list
     of swapping with the first label above.  The walk started on ``q[t_1]`` and swapped
     ``q[t_{i+1}]`` out of position ``t_i + 1``, so the preimage has
     ``pos[0] = q[t_1]``, ``pos[t_i + 1] = q[t_{i+1}]`` (``t_{m+1} = n - 1``)
-    and ``pos[j + 1] = q[j]`` at every other ``j``.
+    and ``pos[j + 1] = q[j]`` at every other ``j``.  Preimages whose last
+    entry is in the bitmask ``ends`` are appended to ``out``, the others
+    only counted; returns that count (``ends = -1`` builds them all).
     """
     if above[q[-1]]:
-        return []
-    out: list[list[int]] = []
-    _unwalk(above, below, q, len(q) - 1, [q[-1], *q[:-1]], -1, out)
-    return out
+        return 0
+    return _unwalk(above, below, q, len(q) - 1, [q[-1], *q[:-1]], ends, out)
 
 
 def _unwalk(above: Sequence[int], below: Sequence[int], q: list[int], t: int,
@@ -125,8 +126,7 @@ def _unwalk(above: Sequence[int], below: Sequence[int], q: list[int], t: int,
     written in.  Scanning back from ``t``, every element below ``q[t]`` met
     before the first one above it can be the next (lower) chain element;
     the chain can end at ``t`` only when nothing before ``t`` is above it.
-    A finished preimage is appended to ``out`` when its last entry is in the
-    bitmask ``ends``, and only counted otherwise; returns that count.
+    ``ends``, ``out`` and the returned count are as in ``_preimages``.
     """
     x = q[t]
     up, down = above[x], below[x]

@@ -288,30 +288,72 @@ def test_budget_exit(capsys, tmp_path):
     assert code == 2 and "budget" in err
 
 
+HUGE = {"n": 400_000, "covers": []}
+LONG_CHAIN = {"n": 20_000, "covers": [[i, i + 1] for i in range(19_999)]}
+LONG_NATURAL = ",".join(str(v) for v in range(1, 20_001))
+WIDE = {"n": 300, "covers": []}
+WIDE_NATURAL = ",".join(str(v) for v in range(1, 301))
+MANY_INDICES = ",".join(str(v) for v in range(1, 1_501))
+# every command that reads a --poset or --spec document, with a document too
+# large for it; building a 20,000-element chain alone would take over 10 MiB
+OVERSIZED = [
+    (["gf", "--poset"], HUGE, 2, "budget"),
+    (["tangled", "--poset"], HUGE, 2, "budget"),
+    (["order", "--labeling", "1", "--poset"], HUGE, 1,
+     "error: labeling (1,) is not a bijection"),
+    (["promote", "--labeling", "1", "--poset"], HUGE, 1, "error: labeling (1,)"),
+    (["lift", "--labeling", "1", "--indices", "1", "--poset"], HUGE, 1, "error: labeling (1,)"),
+    (["export-dot", "--labeling", "1", "--poset"], HUGE, 1, "error: labeling (1,)"),
+    (["export-dot", "--poset"], HUGE, 2, "budget: export-dot handles at most 400"),
+    (["order", "--labeling", LONG_NATURAL, "--poset"], LONG_CHAIN, 2,
+     "budget: order handles at most 400 elements, got 20000"),
+    (["promote", "--labeling", LONG_NATURAL, "--poset"], LONG_CHAIN, 2,
+     "budget: promote handles at most 400"),
+    (["lift", "--labeling", LONG_NATURAL, "--indices", "1", "--poset"], LONG_CHAIN, 2,
+     "budget: lift handles at most 400 elements, got 20001"),
+    (["lift", "--labeling", WIDE_NATURAL, "--indices", MANY_INDICES, "--poset"], WIDE, 2,
+     "budget: lift handles at most 400 elements, got 1800"),
+    (["export-dot", "--labeling", LONG_NATURAL, "--poset"], LONG_CHAIN, 2,
+     "budget: export-dot handles at most 400"),
+    (["irf", "--bound", "--spec"], {"parents": [None], "fibers": [HUGE]}, 2,
+     "inflated forest realizes a poset of 400000 elements; closed forms are budgeted at 400"),
+    (["irf", "--element", "0", "--spec"],
+     {"parents": [None, 0], "fibers": [{"n": 1, "covers": []}, HUGE]}, 2,
+     "closed forms are budgeted at 400"),
+]
+
+
 def test_budget_refused_before_the_poset_is_built(capsys, tmp_path):
-    # a tiny document naming a huge n must not cost n-sized memory: the
-    # counting commands check their budget and the labeling commands the
-    # labeling's length against n before the poset is built
+    # a small document naming a large n must not cost n-sized memory: the
+    # counting commands check their budget, the labeling commands the
+    # labeling's length and the 400-element cap, export-dot that cap and irf
+    # the closed-form cap on its fibers' total, before any poset is built
     import tracemalloc
 
-    big = tmp_path / "huge.json"
-    big.write_text('{"n": 400000, "covers": []}')
-    for argv, expected, message in (
-            (["gf"], 2, "budget"),
-            (["tangled"], 2, "budget"),
-            (["order", "--labeling", "1"], 1, "error: labeling (1,) is not a bijection"),
-            (["promote", "--labeling", "1"], 1, "error: labeling (1,)"),
-            (["lift", "--labeling", "1", "--indices", "1"], 1, "error: labeling (1,)"),
-            (["export-dot", "--labeling", "1"], 1, "error: labeling (1,)"),
-            (["export-dot"], 2, "budget")):
+    path = tmp_path / "big.json"
+    for argv, doc, expected, message in OVERSIZED:
+        path.write_text(json.dumps(doc))
         tracemalloc.start()
         try:
-            code = main([*argv, "--poset", str(big)])
+            code = main([*argv, str(path)])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert code == expected and message in capsys.readouterr().err
-        assert peak < 10 * 2**20
+        assert code == expected and message in capsys.readouterr().err, argv[0]
+        assert peak < 10 * 2**20, argv[0]
+
+
+def test_every_document_command_is_size_gated():
+    # a new command that reads a --poset or --spec document must join
+    # OVERSIZED, so that it cannot skip the size gate
+    import argparse
+
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    reads_document = {name for name, cmd in commands.items()
+                      if {"--poset", "--spec"} & set(cmd._option_string_actions)}
+    assert reads_document == {argv[0] for argv, *_ in OVERSIZED}
 
 
 def test_export_dot_admits_the_cap(capsys, tmp_path):
@@ -321,6 +363,24 @@ def test_export_dot_admits_the_cap(capsys, tmp_path):
     save_poset(antichain(400), path)
     code, out, _ = run(capsys, "export-dot", "--poset", str(path))
     assert code == 0 and out.count("[label=") == 400
+
+
+def test_labeling_commands_admit_the_cap(capsys, tmp_path):
+    from promotion_sorting import antichain
+
+    path = tmp_path / "c400.json"
+    save_poset(chain(400), path)
+    reverse = ",".join(str(400 - i) for i in range(400))
+    assert run(capsys, "order", "--poset", str(path), "--labeling", reverse) == (0, "399\n", "")
+    code, out, _ = run(capsys, "promote", "--poset", str(path), "--labeling", reverse)
+    assert code == 0 and out.startswith("399,398,")
+    # lift caps the lifted size: 398 + 2 elements run, 399 + 2 do not
+    for n, expected in ((398, 0), (399, 2)):
+        save_poset(antichain(n), path)
+        code, _, err = run(capsys, "lift", "--poset", str(path), "--indices", "1,2",
+                           "--labeling", ",".join(str(v) for v in range(1, n + 1)))
+        assert code == expected
+        assert ("got 401" in err) == (expected == 2)
 
 
 MEGABYTE = "x" * 10**6
@@ -370,25 +430,40 @@ def test_deeply_nested_json_exits_one(capsys, tmp_path, argv):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+def two_chains(top: int, bottom: int) -> dict:
+    """An inflated forest of two chains, the second below the first."""
+    return {"parents": [None, 0],
+            "fibers": [{"n": k, "covers": [[i, i + 1] for i in range(k - 1)]}
+                       for k in (top, bottom)]}
+
+
 @pytest.mark.parametrize("argv", [
     ("broom", "--n", "3", "--k", "100000000"),
     ("pedestal", "--n", "3", "--l", "100000000"),
     ("ordsum", "--composition", "200,201"),
     ("attach", "--gf", "2 4 0", "--k", "398"),
     ("wposet", "--a", "100", "--b", "100", "--c", "100", "--d", "98"),
+    ("irf", "--bound", "--spec", two_chains(200, 201)),
 ], ids=lambda argv: argv[0])
-def test_closed_form_budget_exit(capsys, argv):
-    # each realizes a poset of more than CLOSED_FORM_MAX_N = 400 elements
-    code, out, err = run(capsys, *argv)
+def test_closed_form_budget_exit(capsys, tmp_path, argv):
+    # each realizes a poset of more than CLOSED_FORM_MAX_N = 400 elements; a
+    # document argument is passed as a file
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(argv[-1]))
+    code, out, err = run(capsys, *(str(path) if isinstance(a, dict) else a for a in argv))
     assert (code, out) == (2, "")
     assert "closed forms are budgeted at 400" in err
 
 
-def test_closed_form_budget_admits_the_cap(capsys):
+def test_closed_form_budget_admits_the_cap(capsys, tmp_path):
     code, out, _ = run(capsys, "broom", "--n", "3", "--k", "396")
     assert code == 0 and len(out.split()) == 400
     code, _, _ = run(capsys, "broom", "--n", "3", "--k", "397")
     assert code == 2
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(two_chains(200, 200)))
+    code, out, _ = run(capsys, "irf", "--spec", str(path), "--bound", "--element", "0")
+    assert code == 0 and out.startswith("bound sum: 1\n")
 
 
 def test_usage_error_exits_one(capsys, lam_file):

@@ -132,17 +132,19 @@ def test_worker_count_is_clamped(monkeypatch):
 
 
 def test_defective_kernel_fails_instead_of_hanging(monkeypatch):
-    # an inverse step that maps each labeling to itself, a cycle, must fail
-    # the forest's n! total, and a step that never moves anything must trip
-    # the n - 1 step cap of order
+    # an inverse step whose only preimage is the reversed array makes a
+    # 2-cycle, which must trip the walk's depth guard rather than only the
+    # forest's n! total, and a step that never moves anything must trip the
+    # n - 1 step cap of order
     from promotion_sorting import enumeration, promotion
 
     def no_pool(processes):
         raise AssertionError("no pool may start")
 
     monkeypatch.setattr(enumeration, "Pool", no_pool)
-    monkeypatch.setattr(enumeration, "_preimages", lambda above, below, q: [q])
-    with pytest.raises(InternalError):
+    monkeypatch.setattr(enumeration, "_preimages",
+                        lambda above, below, q, ends, out: out.append(q[::-1]) or 0)
+    with pytest.raises(InternalError, match="more than n - 1 promotions"):
         sorting_gf(chain(3), workers=1)
     monkeypatch.setattr(promotion, "_advance", lambda above, pos: None)
     with pytest.raises(InternalError):

@@ -196,6 +196,17 @@ def test_irf_bound_values():
     assert irf_bound(InflationSpec((None,), (C1,))) == 1
 
 
+def test_irf_refuses_more_than_the_closed_form_cap():
+    over = InflationSpec((None, 0), (chain(200), chain(201)))
+    with pytest.raises(BudgetError):
+        irf_tangled_by_element(over, 0)
+    with pytest.raises(BudgetError):
+        irf_bound(over)
+    at_cap = InflationSpec((None, 0), (chain(200), chain(200)))
+    assert irf_bound(at_cap) == 1
+    assert irf_tangled_by_element(at_cap, 399) == factorial(398)
+
+
 def test_irf_bound_cap():
     for spec in IRF_SPECS:
         kids = [0] * len(spec.parents)

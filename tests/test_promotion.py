@@ -205,9 +205,11 @@ def test_order_bound_on_all_small_labelings():
 
 
 def test_preimages_invert_one_step_on_small_catalogs():
-    # every labeling of every poset with n <= 5: _preimages is exactly the
-    # set of position arrays that one step sends to q, and the natural
-    # position arrays are exactly those that pass the naturality test
+    # every labeling of every poset with n <= 5: _preimages with every end
+    # allowed builds exactly the position arrays that one step sends to q;
+    # with only maximal ends it builds those ending on a maximal element and
+    # counts the rest; and the natural position arrays are exactly those
+    # that pass the naturality test
     from itertools import permutations
 
     from promotion_sorting import generate_posets
@@ -216,13 +218,20 @@ def test_preimages_invert_one_step_on_small_catalogs():
 
     for n in range(1, 6):
         for p in generate_posets(n).entries:
+            maximal = sum(1 << e for e in p.maximals)
             inverse = {q: [] for q in permutations(range(n))}
             for perm in permutations(range(n)):
                 pos = list(perm)
                 _advance(p.above, pos)
                 inverse[tuple(pos)].append(list(perm))
             for q, want in inverse.items():
-                assert sorted(_preimages(p.above, p.below, list(q))) == sorted(want)
+                built: list = []
+                assert _preimages(p.above, p.below, list(q), -1, built) == 0
+                assert sorted(built) == sorted(want)
+                built = []
+                counted = _preimages(p.above, p.below, list(q), maximal, built)
+                assert sorted(built) == sorted(pre for pre in want if pre[-1] in p.maximals)
+                assert len(built) + counted == len(want)
             natural = [list(perm) for perm in permutations(range(n))
                        if _is_natural_pos(p.below, perm)]
             assert sorted(_natural_positions(p.below, (1 << n) - 1)) == natural

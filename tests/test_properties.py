@@ -296,7 +296,8 @@ def test_preimages_contain_every_labeling_and_only_preimages(case):
     pos = positions_of(labels)
     q = pos.copy()
     _advance(p.above, q)
-    found = _preimages(p.above, p.below, q)
+    found: list = []
+    assert _preimages(p.above, p.below, q, -1, found) == 0
     assert pos in found
     for pre in found:
         _advance(p.above, pre)
