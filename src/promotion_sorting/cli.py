@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 from .enumeration import (BudgetError, GenFun, _check_budget, sorting_gf,
                           tangled_report)
 from .families import WParams, build_w_poset, inflation_spec_from_json
-from .formulas import (CLOSED_FORM_MAX_N, _check_size, attach_antichain, broom_f, irf_bound,
+from .formulas import (CLOSED_FORM_MAX_N, attach_antichain, broom_f, irf_bound,
                        irf_tangled_by_element, ordinal_sum_antichains_g,
                        pedestal_coeffs, w_poset_tangled, weak_order_family)
 from .harness import (ALL_CHECKS, PosetCatalog, generate_posets, poset_levels,
@@ -44,8 +44,8 @@ def _default_threads() -> int:
     return os.cpu_count() or 1
 
 
-def _add_poset_arg(cmd, required: bool = True):
-    cmd.add_argument("--poset", required=required, metavar="FILE",
+def _add_poset_arg(cmd):
+    cmd.add_argument("--poset", required=True, metavar="FILE",
                      help="poset JSON file ({\"n\": .., \"covers\": [[i, j], ..]})")
 
 
@@ -54,25 +54,16 @@ def _add_threads_arg(cmd):
                      help="worker processes (default: machine parallelism)")
 
 
-def _check_cap(command: str, n: int) -> None:
-    """Refuse a poset of more than ``CLOSED_FORM_MAX_N`` elements for the
-    commands that take one labeling or draw one poset; their work grows with
-    ``n``, and there is no override."""
-    if n > CLOSED_FORM_MAX_N:
-        raise BudgetError(f"{command} handles at most {CLOSED_FORM_MAX_N} elements, "
-                          f"got {reprlib.repr(n)}")
-
-
 def _load_labeled(args, extra: int = 0) -> tuple[Poset, tuple[int, ...]]:
     """The ``--poset`` document and its ``--labeling``, parsed first so that a
     document of another size is refused before its poset is built, and so is
-    one whose size plus ``extra`` exceeds ``_check_cap``."""
+    one whose size plus ``extra`` exceeds ``CLOSED_FORM_MAX_N``."""
     labels = parse_labeling(args.labeling)
 
     def same_length(n: int) -> None:
         if n != len(labels):
             raise ValueError(f"labeling {reprlib.repr(labels)} is not a bijection onto 1..{n}")
-        _check_cap(args.command, n + extra)
+        _check_budget(n + extra, None, CLOSED_FORM_MAX_N, f"{args.command} poset elements")
 
     p = load_poset(args.poset, same_length)
     return p, validate_labeling(p, labels)
@@ -113,6 +104,7 @@ def _cmd_promote(args) -> int:
     p, labels = _load_labeled(args)
     if args.steps < 1:
         raise ValueError("--steps must be at least 1")
+    _check_budget(p.n * args.steps, None, CLOSED_FORM_MAX_N ** 2, "promote printed labels")
     for _ in range(args.steps):
         step = promote(p, labels)
         print(f"{format_labeling(step.labels)} chain={list(step.chain)}")
@@ -164,8 +156,9 @@ def _cmd_lift(args) -> int:
 
 def _cmd_irf(args) -> int:
     with open(args.spec, "r", encoding="utf-8") as fh:
-        spec = inflation_spec_from_json(decode_json(fh.read()),
-                                        lambda n: _check_size(n, "inflated forest"))
+        doc = decode_json(fh.read())
+    spec = inflation_spec_from_json(doc, lambda n: _check_budget(
+        n, None, CLOSED_FORM_MAX_N, "inflated forest elements"))
     if args.bound:
         value = irf_bound(spec)
         print(f"bound sum: {value.numerator}/{value.denominator}"
@@ -256,7 +249,7 @@ def _cmd_gen_posets(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    _check_budget(args.max_n, args.force, cap=VERIFY_DEFAULT_MAX_N, what="verify sweep")
+    _check_budget(args.max_n, args.force, VERIFY_DEFAULT_MAX_N, "verify sweep poset elements")
     checks = ALL_CHECKS if args.conjecture == "all" else (args.conjecture,)
     found = 0
     for n, level in enumerate(poset_levels(args.max_n, force=args.force), start=1):
@@ -281,8 +274,11 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_export_dot(args) -> int:
-    p, labels = (_load_labeled(args) if args.labeling
-                 else (load_poset(args.poset, lambda n: _check_cap(args.command, n)), None))
+    if args.labeling:
+        p, labels = _load_labeled(args)
+    else:
+        p, labels = load_poset(args.poset, lambda n: _check_budget(
+            n, None, CLOSED_FORM_MAX_N, "export-dot poset elements")), None
     text = export_dot(p, labels)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -385,8 +381,7 @@ def build_parser() -> _Parser:
 
     cmd = sub.add_parser("verify", help="sweep conjecture checks over catalogs")
     cmd.add_argument("--max-n", type=int, default=VERIFY_DEFAULT_MAX_N)
-    cmd.add_argument("--conjecture", default="all",
-                     choices=["n-2", "hodges", "n-1", "all"])
+    cmd.add_argument("--conjecture", default="all", choices=(*ALL_CHECKS, "all"))
     cmd.add_argument("--unimodal", action="store_true",
                      help="also flag non-unimodal sorting gfs")
     cmd.add_argument("--all-posets", action="store_true",

@@ -36,9 +36,9 @@ above b) pairs times the (n-2)! arrangements of the other labels, that is
 sum over basins b of |up(b)| (n-2)! labelings instead of
 |basins| (n-1)!.
 
-The default budget refuses posets with more than ``DEFAULT_MAX_N`` elements
-unless ``force=True`` is passed; n! grows too fast to wander past that wall
-by accident.
+``_check_budget`` is the only code that raises ``BudgetError``.  Enumeration
+refuses more than ``DEFAULT_MAX_N`` elements unless ``force=True`` is passed;
+n! grows too fast to wander past that wall by accident.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from dataclasses import dataclass
 from itertools import accumulate, permutations
 from math import factorial
 from multiprocessing import Pool
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .posets import Poset, _bits, basins
 from .promotion import (InternalError, _is_natural_pos, _is_tangled_pos, _natural_positions,
@@ -59,14 +59,16 @@ DEFAULT_MAX_N = 9
 
 
 class BudgetError(RuntimeError):
-    """A computation would exceed its default size budget; pass force=True."""
+    """A computation would exceed its size budget (see ``_check_budget``)."""
 
 
-def _check_budget(n: int, force: bool, cap: int = DEFAULT_MAX_N, what: str = "enumeration") -> None:
+def _check_budget(n: int, force: Optional[bool], cap: int = DEFAULT_MAX_N,
+                  what: str = "enumerated poset elements") -> None:
+    """Refuse ``n`` of ``what`` above ``cap`` unless ``force``; ``None`` means no override."""
     if n > cap and not force:
-        raise BudgetError(
-            f"{what} over {reprlib.repr(n)} elements exceeds the default budget of {cap}; "
-            f"pass force=True (--force on the command line) to run anyway")
+        hint = ("" if force is None
+                else "; pass force=True (--force on the command line) to run anyway")
+        raise BudgetError(f"{what} of {reprlib.repr(n)} exceeds the budget of {cap}{hint}")
 
 
 # -- generating function container -------------------------------------------

@@ -170,12 +170,13 @@ def w_as_shoelace(params: WParams) -> ShoelaceSpec:
 
 @dataclass(frozen=True)
 class InflationSpec:
-    """A rooted forest plus one fiber poset per node.
+    """A rooted forest plus one fiber poset per node, validated on construction.
 
     ``parents[q]`` is the node covering ``q`` (roots carry ``None``); roots
     are the maximal elements of the forest order.  Parents must be ``int``
     node indices (a ``bool`` is not accepted).  ``fibers[q]`` replaces node
-    ``q`` and must have a unique minimal element.
+    ``q`` and must be a :class:`Poset` with a unique minimal element.
+    Construction checks one fiber per node, then the forest, then each fiber.
     """
 
     parents: tuple
@@ -184,13 +185,24 @@ class InflationSpec:
     def __post_init__(self):
         object.__setattr__(self, "parents", tuple(self.parents))
         object.__setattr__(self, "fibers", tuple(self.fibers))
+        if len(self.fibers) != len(self.parents):
+            raise SpecError("need exactly one fiber per forest node")
+        _validate_forest(self.parents)
+        for q, fiber in enumerate(self.fibers):
+            if not isinstance(fiber, Poset):
+                raise SpecError(f"fiber {q} is not a Poset")
+            if len(fiber.minimals) != 1:
+                raise FiberError(
+                    f"fiber {q} has {len(fiber.minimals)} minimal elements, needs exactly 1")
 
 
 def _validate_forest(parents: tuple) -> None:
     """Check that the parent map describes a rooted forest.
 
     Every parent is ``None`` or an in-range ``int`` node index, and every
-    node reaches a root within r - 1 steps; a longer walk repeats a node.
+    node reaches a root.  The walk from ``q`` marks its nodes with ``q`` and
+    stops at a root or at a node an earlier, cycle-free walk marked, so each
+    node is walked once; a walk that meets its own mark has found a cycle.
     """
     r = len(parents)
     if r == 0:
@@ -198,13 +210,13 @@ def _validate_forest(parents: tuple) -> None:
     for q, par in enumerate(parents):
         if par is not None and (type(par) is not int or not 0 <= par < r):
             raise ForestError(f"parent of node {q} is {reprlib.repr(par)}")
+    walk = [-1] * r
     for q in range(r):
         node = q
-        for _ in range(r):
-            if parents[node] is None:
-                break
+        while node is not None and walk[node] < 0:
+            walk[node] = q
             node = parents[node]
-        else:
+        if node is not None and walk[node] == q:
             raise ForestError("parent map contains a cycle")
 
 
@@ -215,19 +227,10 @@ def build_inflation(spec: InflationSpec) -> tuple[Poset, tuple[int, ...]]:
     internal indices of each fiber.  ``phi[e]`` is the forest node whose
     fiber contains element ``e``.  For elements of distinct fibers the built
     order satisfies: x < y exactly when phi(x) is below phi(y) in the forest.
+    ``spec`` validated itself when it was constructed, so this only builds.
     """
     parents = spec.parents
     fibers = spec.fibers
-    if len(fibers) != len(parents):
-        raise SpecError("need exactly one fiber per forest node")
-    _validate_forest(parents)
-    for q, fiber in enumerate(fibers):
-        if not isinstance(fiber, Poset):
-            raise SpecError(f"fiber {q} is not a Poset")
-        if len(fiber.minimals) != 1:
-            raise FiberError(
-                f"fiber {q} has {len(fiber.minimals)} minimal elements, needs exactly 1")
-
     offsets = []
     total = 0
     for fiber in fibers:
@@ -250,18 +253,17 @@ def inflation_spec_from_json(doc: Mapping,
                              check_n: Optional[Callable[[int], None]] = None) -> InflationSpec:
     """Parse ``{"parents": [...], "fibers": [poset documents]}``.
 
-    Parents must be integers or ``null`` and describe a rooted forest
-    (:class:`ForestError` otherwise); each fiber is checked like any other
-    poset document by :func:`~promotion_sorting.posets.poset_from_doc`.
-    ``check_n``, when given, sees the running total of the fiber sizes,
-    each fiber's size added before that fiber is built.
+    Each fiber is checked like any other poset document by
+    :func:`~promotion_sorting.posets.poset_from_doc`, before
+    :class:`InflationSpec` checks the parents.  ``check_n``, when given, sees
+    the running total of the fiber sizes, each fiber's size added before that
+    fiber is built.
     """
     if not isinstance(doc, Mapping) or "parents" not in doc or "fibers" not in doc:
         raise SpecError('inflation document must carry "parents" and "fibers"')
     parents, fibers = doc["parents"], doc["fibers"]
     if not isinstance(parents, list) or not isinstance(fibers, list):
         raise SpecError('"parents" and "fibers" must be lists')
-    _validate_forest(tuple(parents))
     built: list[Poset] = []
     size = 0
     for fiber in fibers:

@@ -4,11 +4,15 @@ Every function here returns exact integers, rationals or integer vectors;
 the matching enumeration oracles live in :mod:`promotion_sorting.enumeration`
 and the test suite keeps the two routes in agreement.
 
-The families built on a realized poset (inflated forests, W-posets,
-attached antichains, pedestals, stacks of antichains, brooms) refuse one
-larger than ``CLOSED_FORM_MAX_N`` elements with ``BudgetError``: their
+Every size refusal goes through ``enumeration._check_budget``.  The families
+built on a realized poset (inflated forests, W-posets, attached antichains,
+pedestals, stacks of antichains, brooms) refuse one larger than
+``CLOSED_FORM_MAX_N`` elements with no override (``force=None``): their
 big-integer arithmetic grows polynomially in that size, to at most about
-0.4 s at the cap on a 2-vCPU machine.
+0.4 s at the cap on a 2-vCPU machine.  ``weak_order_family`` refuses more
+than 6 entries the same way.  The CLI reuses the cap for ``order``,
+``promote``, ``lift`` and ``export-dot``, and caps ``promote`` at
+``CLOSED_FORM_MAX_N ** 2`` printed labels (elements times steps).
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from math import comb, factorial
 from operator import le
 from typing import Optional, Sequence
 
-from .enumeration import BudgetError, GenFun
+from .enumeration import GenFun, _check_budget
 from .families import InflationSpec, build_inflation
 from .posets import Poset
 from .promotion import InternalError
@@ -40,13 +44,6 @@ class DistinctnessError(ValueError):
 
 
 CLOSED_FORM_MAX_N = 400
-
-
-def _check_size(n: int, what: str) -> None:
-    """Refuse a closed form whose realized poset exceeds ``CLOSED_FORM_MAX_N``."""
-    if n > CLOSED_FORM_MAX_N:
-        raise BudgetError(f"{what} realizes a poset of {n} elements; closed forms "
-                          f"are budgeted at {CLOSED_FORM_MAX_N}")
 
 
 # -- tangled counts for inflated rooted forests --------------------------------
@@ -89,14 +86,14 @@ def irf_tangled_by_element(spec: InflationSpec, x: int) -> int:
     other trees contribute the disjoint-union factor
     (n - n_t)! * C(n - 2, n_t - 2).
     """
+    weights = [fiber.n for fiber in spec.fibers]
+    _check_budget(sum(weights), None, CLOSED_FORM_MAX_N, "inflated forest elements")
     p, phi = build_inflation(spec)
-    _check_size(p.n, "inflated forest")
     if not 0 <= x < p.n:
         raise IndexError(f"element {x} out of range for {p.n} elements")
     if not p.below[x]:
         return 0
     parents = spec.parents
-    weights = [fiber.n for fiber in spec.fibers]
     root = phi[x]
     while parents[root] is not None:
         root = parents[root]
@@ -117,11 +114,12 @@ def irf_bound(spec: InflationSpec) -> Fraction:
     With n elements and m leaves the value is 1 when n = 1 and otherwise at
     most (n - m)/(n - 1), strictly below it as soon as m > 1.
     """
-    _check_size(build_inflation(spec)[0].n, "inflated forest")
+    weights = [fiber.n for fiber in spec.fibers]
+    _check_budget(sum(weights), None, CLOSED_FORM_MAX_N, "inflated forest elements")
     roots = [q for q, par in enumerate(spec.parents) if par is None]
     if len(roots) != 1:
         raise ValueError("the leaf-sum bound applies to a single rooted tree")
-    return _leaf_sum(spec.parents, [fiber.n for fiber in spec.fibers], roots[0])[0]
+    return _leaf_sum(spec.parents, weights, roots[0])[0]
 
 
 # -- the W-poset count ----------------------------------------------------------
@@ -135,7 +133,7 @@ def w_poset_tangled(a: int, b: int, c: int, d: int) -> int:
     if min(a, b, c, d) < 1:
         raise ParamError("W-poset arm lengths must all be at least 1")
     n = a + b + c + d + 3
-    _check_size(n, "W-poset")
+    _check_budget(n, None, CLOSED_FORM_MAX_N, "W-poset elements")
     x_sum = sum((d - j + 1) * _multinomial(i, j, c - 1)
                 for i in range(b) for j in range(d + 1))
     z_sum = sum((a - j + 1) * _multinomial(i, j, b - 1)
@@ -193,7 +191,7 @@ def attach_antichain(gf, k: int, mode: str = "sorting") -> GenFun:
         raise ParamError("the input vector must be nonempty")
     if k < 1:
         raise ParamError("the antichain size k must be at least 1")
-    _check_size(n + k, "attached antichain")
+    _check_budget(n + k, None, CLOSED_FORM_MAX_N, "attached antichain poset elements")
     if any(c < 0 for c in coeffs):
         raise ParamError("generating function coefficients must be nonnegative")
     if mode == "sorting":
@@ -240,7 +238,7 @@ class PedestalTails:
 def pedestal_coeffs(n: int, l: int) -> PedestalTails:
     if n < 1 or l < 1:
         raise ParamError("need a base size n >= 1 and a chain length l >= 1")
-    _check_size(n + l, "pedestal")
+    _check_budget(n + l, None, CLOSED_FORM_MAX_N, "pedestal poset elements")
     b_tail = tuple((n + l - r) ** r * factorial(n + l - r) for r in range(l + 1))
     a_tail = tuple(
         ((n + l - r) ** (r + 1) - (n + l - r - 1) ** (r + 1)) * factorial(n + l - r - 1)
@@ -268,7 +266,7 @@ def ordinal_sum_antichains_g(sizes: Sequence[int]) -> GenFun:
     sizes = tuple(int(c) for c in sizes)
     if not sizes or any(c < 1 for c in sizes):
         raise ParamError("antichain sizes must be positive integers")
-    _check_size(sum(sizes), "stack of antichains")
+    _check_budget(sum(sizes), None, CLOSED_FORM_MAX_N, "antichain stack elements")
     prefix = list(accumulate(sizes))
     n = prefix[-1]
     coeffs = []
@@ -293,7 +291,7 @@ def broom_f(n: int, k: int) -> GenFun:
     if n < 0 or k < 0:
         raise ParamError("need n >= 0 and k >= 0")
     size = n + k + 1
-    _check_size(size, "broom")
+    _check_budget(size, None, CLOSED_FORM_MAX_N, "broom elements")
     coeffs = [0] * size
     for s in range(min(k + 1, size - 1) + 1):
         first = factorial(n + s) * (s + 1) ** (k + 1 - s)
@@ -368,8 +366,7 @@ def weak_order_family(composition: Sequence[int]) -> CoeffFamily:
         raise ParamError("composition entries must be positive")
     if len(set(entries)) != len(entries):
         raise DistinctnessError(f"composition entries must be distinct, got {entries}")
-    if len(entries) > 6:
-        raise BudgetError("dominance families are budgeted at 6 entries")
+    _check_budget(len(entries), None, 6, "composition entries")
     base = tuple(sorted(entries))
     r = len(base)
 

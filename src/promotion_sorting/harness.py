@@ -18,6 +18,7 @@ from typing import Iterator, Sequence
 from .enumeration import (_check_budget, _run_chunks, sequence_shape, sorting_gf,
                           tangled_report)
 from .posets import Poset, _bits, funnel_and_basins, poset_from_json, poset_to_json
+from .promotion import InternalError
 
 CANON_MAX_N = 10
 GENERATION_MAX_N = 8
@@ -72,7 +73,7 @@ def _twin_ids(p: Poset) -> list[int]:
 
 def canonicalize(p: Poset, force: bool = False) -> bytes:
     """Canonical byte string: equal exactly for isomorphic posets."""
-    _check_budget(p.n, force, cap=CANON_MAX_N, what="canonicalization")
+    _check_budget(p.n, force, cap=CANON_MAX_N, what="canonicalized poset elements")
     n = p.n
     classes = _refined_classes(p)
     members: dict[int, list[int]] = {}
@@ -159,7 +160,7 @@ def poset_levels(max_n: int, force: bool = False) -> Iterator[tuple]:
     canonical forms collapse the duplicate histories.  Each yielded level is
     a tuple sorted by canonical form, so catalogs are deterministic.
     """
-    _check_budget(max_n, force, cap=GENERATION_MAX_N, what="catalog generation")
+    _check_budget(max_n, force, cap=GENERATION_MAX_N, what="catalog poset elements")
     if max_n < 1:
         raise ValueError("catalogs need n >= 1")
     level = {canonicalize(Poset(1), force=force): Poset(1)}
@@ -299,6 +300,8 @@ def _scan_one(args):
     gf_coeffs = None
     if unimodal:
         coeffs = sorting_gf(p, force=force).coeffs
+        if report is not None and coeffs[-1] != report.total:
+            raise InternalError(f"f counts {coeffs[-1]} tangled labelings, not {report.total}")
         if not sequence_shape(coeffs).unimodal:
             gf_coeffs = coeffs
     return verdict_ok, report, gf_coeffs
@@ -313,7 +316,8 @@ def scan_catalog(catalog: PosetCatalog, checks: Sequence[str] = ALL_CHECKS,
     characterization), hodges ((n-m)(n-2)! aggregate) and n-1 ((n-1)!
     aggregate).  With ``unimodal=True`` the sorting generating functions are
     additionally scanned and non-unimodal instances reported; those are
-    informational, not failures.
+    informational, not failures.  When both run, f's top coefficient must
+    equal the tangled count, or the two routes disagree: ``InternalError``.
     """
     checks = tuple(checks)
     for check in checks:

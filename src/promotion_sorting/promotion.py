@@ -182,14 +182,11 @@ def _natural_positions(below: Sequence[int], todo: int, seen: int = 0) -> Iterat
 def _is_tangled_pos(above: Sequence[int], pos: list[int]) -> bool:
     """Whether a labeling whose label ``n`` sits on a basin is tangled.
 
-    ``pos[-1]`` must be a basin ``b``; the array is promoted in place.  As
-    ``b`` is minimal, no walk enters it before step ``n - 1``, so after k
-    steps it holds label ``n - k`` and ``pos[n - 2 - k]`` holds the label
-    just below.  That holder either keeps its label or is walked, handing
-    the label to the chain element just below it, so it only moves down.
-    Tangled means label 1 ends strictly above ``b`` after ``n - 2`` steps,
-    which therefore needs every holder on the way strictly above ``b``: the
-    walk stops at the first one that is not.
+    ``pos[-1]`` must be a basin ``b``; the array is promoted in place, and
+    the walk stops at the first holder of the label just below ``b``'s that
+    is not strictly above ``b``.  The tangled-chain lemma, stated once in the
+    :mod:`~promotion_sorting.enumeration` module docstring, is why that
+    decides it.
     """
     up = above[pos[-1]]
     for i in range(len(pos) - 2, 0, -1):

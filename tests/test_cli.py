@@ -175,7 +175,7 @@ def test_weak_order(capsys):
     assert "collisions:" not in lines
     code, out, err = run(capsys, "weak-order", "--composition", "1,2,3,4,5,6,7")
     assert (code, out) == (2, "")
-    assert "budgeted at 6 entries" in err
+    assert "composition entries of 7 exceeds the budget of 6" in err
 
 
 def test_gen_posets_stdout_and_file(capsys, tmp_path):
@@ -304,22 +304,23 @@ OVERSIZED = [
     (["promote", "--labeling", "1", "--poset"], HUGE, 1, "error: labeling (1,)"),
     (["lift", "--labeling", "1", "--indices", "1", "--poset"], HUGE, 1, "error: labeling (1,)"),
     (["export-dot", "--labeling", "1", "--poset"], HUGE, 1, "error: labeling (1,)"),
-    (["export-dot", "--poset"], HUGE, 2, "budget: export-dot handles at most 400"),
+    (["export-dot", "--poset"], HUGE, 2,
+     "budget: export-dot poset elements of 400000 exceeds the budget of 400\n"),
     (["order", "--labeling", LONG_NATURAL, "--poset"], LONG_CHAIN, 2,
-     "budget: order handles at most 400 elements, got 20000"),
+     "budget: order poset elements of 20000 exceeds the budget of 400\n"),
     (["promote", "--labeling", LONG_NATURAL, "--poset"], LONG_CHAIN, 2,
-     "budget: promote handles at most 400"),
+     "budget: promote poset elements of 20000 exceeds the budget of 400\n"),
     (["lift", "--labeling", LONG_NATURAL, "--indices", "1", "--poset"], LONG_CHAIN, 2,
-     "budget: lift handles at most 400 elements, got 20001"),
+     "budget: lift poset elements of 20001 exceeds the budget of 400\n"),
     (["lift", "--labeling", WIDE_NATURAL, "--indices", MANY_INDICES, "--poset"], WIDE, 2,
-     "budget: lift handles at most 400 elements, got 1800"),
+     "budget: lift poset elements of 1800 exceeds the budget of 400\n"),
     (["export-dot", "--labeling", LONG_NATURAL, "--poset"], LONG_CHAIN, 2,
-     "budget: export-dot handles at most 400"),
+     "budget: export-dot poset elements of 20000 exceeds the budget of 400\n"),
     (["irf", "--bound", "--spec"], {"parents": [None], "fibers": [HUGE]}, 2,
-     "inflated forest realizes a poset of 400000 elements; closed forms are budgeted at 400"),
+     "budget: inflated forest elements of 400000 exceeds the budget of 400\n"),
     (["irf", "--element", "0", "--spec"],
      {"parents": [None, 0], "fibers": [{"n": 1, "covers": []}, HUGE]}, 2,
-     "closed forms are budgeted at 400"),
+     "budget: inflated forest elements of 400001 exceeds the budget of 400\n"),
 ]
 
 
@@ -341,6 +342,50 @@ def test_budget_refused_before_the_poset_is_built(capsys, tmp_path):
             tracemalloc.stop()
         assert code == expected and message in capsys.readouterr().err, argv[0]
         assert peak < 10 * 2**20, argv[0]
+
+
+def test_promote_steps_are_budgeted(capsys, tmp_path):
+    # elements times steps is the count of printed labels, capped at 400 ** 2
+    from promotion_sorting import antichain
+
+    path = tmp_path / "p.json"
+    save_poset(antichain(2), path)
+    code, out, err = run(capsys, "promote", "--poset", str(path), "--labeling", "1,2",
+                         "--steps", "1000000")
+    assert (code, out) == (2, "")
+    assert "promote printed labels of 2000000 exceeds the budget of 160000\n" in err
+    save_poset(chain(400), path)
+    reverse = ",".join(str(400 - i) for i in range(400))
+    code, out, _ = run(capsys, "promote", "--poset", str(path), "--labeling", reverse,
+                       "--steps", "400")
+    assert code == 0 and len(out.splitlines()) == 400
+    code, out, err = run(capsys, "promote", "--poset", str(path), "--labeling", reverse,
+                         "--steps", "401")
+    assert (code, out) == (2, "")
+    assert "160400 exceeds the budget of 160000\n" in err
+
+
+def test_long_parent_path_with_few_fibers_exits_one(capsys, tmp_path):
+    # refused by its fiber count before any forest walk
+    import time
+
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"parents": [None, *range(23_999)],
+                                "fibers": [{"n": 1, "covers": []}]}))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "irf", "--bound", "--spec", str(path))
+    assert time.perf_counter() - start < 2
+    assert (code, out) == (1, "") and "one fiber per forest node" in err
+
+
+def test_verify_choices_are_the_harness_checks():
+    import argparse
+
+    from promotion_sorting.harness import ALL_CHECKS
+
+    verify = next(a for a in cli.build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction)).choices["verify"]
+    assert verify._option_string_actions["--conjecture"].choices == (*ALL_CHECKS, "all")
 
 
 def test_every_document_command_is_size_gated():
@@ -380,7 +425,7 @@ def test_labeling_commands_admit_the_cap(capsys, tmp_path):
         code, _, err = run(capsys, "lift", "--poset", str(path), "--indices", "1,2",
                            "--labeling", ",".join(str(v) for v in range(1, n + 1)))
         assert code == expected
-        assert ("got 401" in err) == (expected == 2)
+        assert ("401 exceeds the budget of 400" in err) == (expected == 2)
 
 
 MEGABYTE = "x" * 10**6
@@ -437,22 +482,22 @@ def two_chains(top: int, bottom: int) -> dict:
                        for k in (top, bottom)]}
 
 
-@pytest.mark.parametrize("argv", [
-    ("broom", "--n", "3", "--k", "100000000"),
-    ("pedestal", "--n", "3", "--l", "100000000"),
-    ("ordsum", "--composition", "200,201"),
-    ("attach", "--gf", "2 4 0", "--k", "398"),
-    ("wposet", "--a", "100", "--b", "100", "--c", "100", "--d", "98"),
-    ("irf", "--bound", "--spec", two_chains(200, 201)),
-], ids=lambda argv: argv[0])
-def test_closed_form_budget_exit(capsys, tmp_path, argv):
-    # each realizes a poset of more than CLOSED_FORM_MAX_N = 400 elements; a
-    # document argument is passed as a file
+@pytest.mark.parametrize("argv, size", [
+    (("broom", "--n", "3", "--k", "100000000"), 100_000_004),
+    (("pedestal", "--n", "3", "--l", "100000000"), 100_000_003),
+    (("ordsum", "--composition", "200,201"), 401),
+    (("attach", "--gf", "2 4 0", "--k", "398"), 401),
+    (("wposet", "--a", "100", "--b", "100", "--c", "100", "--d", "98"), 401),
+    (("irf", "--bound", "--spec", two_chains(200, 201)), 401),
+], ids=["broom", "pedestal", "ordsum", "attach", "wposet", "irf"])
+def test_closed_form_budget_exit(capsys, tmp_path, argv, size):
+    # each realizes a poset of more than CLOSED_FORM_MAX_N = 400 elements, and
+    # the refusal has no override; a document argument is passed as a file
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(argv[-1]))
     code, out, err = run(capsys, *(str(path) if isinstance(a, dict) else a for a in argv))
     assert (code, out) == (2, "")
-    assert "closed forms are budgeted at 400" in err
+    assert err.endswith(f" elements of {size} exceeds the budget of 400\n")
 
 
 def test_closed_form_budget_admits_the_cap(capsys, tmp_path):

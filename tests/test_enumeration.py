@@ -24,6 +24,7 @@ from promotion_sorting import (
     sorting_gf,
     tangled_report,
 )
+from promotion_sorting.enumeration import _check_budget
 from promotion_sorting.promotion import _advance, labels_of
 
 LAMBDA = Poset(3, [(0, 2), (1, 2)])
@@ -289,7 +290,46 @@ def test_sequence_shape():
 
 def test_budget_refusal():
     big = antichain(10)
-    with pytest.raises(BudgetError):
+    with pytest.raises(BudgetError, match="10 exceeds the budget of 9; pass force=True"):
         sorting_gf(big)
     with pytest.raises(BudgetError):
         tangled_report(big)
+
+
+def test_budget_hint_only_where_force_applies():
+    with pytest.raises(BudgetError, match=r"--force on the command line"):
+        _check_budget(10, False)
+    with pytest.raises(BudgetError) as exc:
+        _check_budget(401, None, 400, "broom elements")
+    assert str(exc.value) == "broom elements of 401 exceeds the budget of 400"
+    _check_budget(10, True)
+    _check_budget(400, None, 400)
+
+
+def test_budget_error_is_raised_in_one_place():
+    # every size refusal must go through _check_budget, so that a new cap
+    # cannot fork the rule, its wording or its --force hint again
+    import ast
+    from pathlib import Path
+
+    import promotion_sorting
+
+    found = []
+
+    class Finder(ast.NodeVisitor):
+        def __init__(self, module):
+            self.where = [module]
+
+        def visit_FunctionDef(self, node):
+            self.where.append(node.name)
+            self.generic_visit(node)
+            self.where.pop()
+
+        def visit_Raise(self, node):
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if getattr(exc, "id", getattr(exc, "attr", None)) == "BudgetError":
+                found.append((self.where[0], self.where[-1]))
+
+    for path in sorted(Path(promotion_sorting.__file__).parent.glob("*.py")):
+        Finder(path.name).visit(ast.parse(path.read_text()))
+    assert found == [("enumeration.py", "_check_budget")]

@@ -147,6 +147,41 @@ def test_inflation_rejects_bad_forest():
         build_inflation(InflationSpec((None, 5), (chain(1), chain(1))))
     with pytest.raises(SpecError):
         build_inflation(InflationSpec((None,), (chain(1), chain(1))))
+    # the spec checks itself on construction: the fiber count before any
+    # walk, then the forest, then the fibers
+    with pytest.raises(SpecError, match="one fiber per forest node"):
+        InflationSpec((1, 0, *range(10**5)), (LAMBDA,))
+    with pytest.raises(ForestError):
+        InflationSpec((1, 0), (LAMBDA, LAMBDA))
+    with pytest.raises(SpecError, match="not a Poset"):
+        InflationSpec((None,), ("fiber",))
+
+
+def test_forest_validation_walks_each_node_once():
+    # a quadratic walk took seconds on a 24,000-node path
+    import time
+
+    n = 200_000
+    start = time.perf_counter()
+    spec = InflationSpec((None, *range(n - 1)), (chain(1),) * n)
+    assert time.perf_counter() - start < 2 and len(spec.parents) == n
+    start = time.perf_counter()
+    with pytest.raises(ForestError, match="cycle"):
+        InflationSpec(tuple((q + 1) % n for q in range(n)), (chain(1),) * n)
+    assert time.perf_counter() - start < 2
+
+
+def test_inflation_spec_validates_once(monkeypatch):
+    from promotion_sorting import families
+
+    calls = []
+    validate = families._validate_forest
+    monkeypatch.setattr(families, "_validate_forest",
+                        lambda parents: calls.append(parents) or validate(parents))
+    spec = InflationSpec((None, 0, 0), (V, chain(1), DIAMOND))
+    assert len(calls) == 1
+    build_inflation(spec)
+    assert len(calls) == 1
 
 
 def test_inflation_forest_layout():
@@ -186,6 +221,8 @@ def test_inflation_spec_from_json():
         ({"parents": [None, "0"], "fibers": [point, point]}, ForestError, "'0'"),
         ({"parents": 3, "fibers": [point]}, SpecError, "lists"),
         ({"parents": [1, 0], "fibers": [point, point]}, ForestError, "cycle"),
+        # fibers are parsed before the spec, so their error comes first
+        ({"parents": [1, 0], "fibers": [point, {"n": True, "covers": []}]}, SpecError, '"n"'),
     ]:
         with pytest.raises(error, match=message):
             inflation_spec_from_json(bad)

@@ -207,6 +207,20 @@ def test_irf_refuses_more_than_the_closed_form_cap():
     assert irf_tangled_by_element(at_cap, 399) == factorial(398)
 
 
+def test_irf_builds_nothing_it_does_not_need(monkeypatch):
+    # the bound reads only the fiber sizes, and the count checks their sum
+    # before it builds the inflated poset
+    import promotion_sorting.formulas as formulas
+
+    def refuse(spec):
+        raise AssertionError("built the inflated poset")
+
+    monkeypatch.setattr(formulas, "build_inflation", refuse)
+    assert irf_bound(InflationSpec((None, 0, 0), (C1, C2, C2))) == Fraction(2, 3)
+    with pytest.raises(BudgetError, match="401 exceeds the budget of 400"):
+        irf_tangled_by_element(InflationSpec((None, 0), (chain(200), chain(201))), 0)
+
+
 def test_irf_bound_cap():
     for spec in IRF_SPECS:
         kids = [0] * len(spec.parents)

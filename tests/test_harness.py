@@ -284,6 +284,25 @@ def test_scan_finds_non_unimodal_at_six():
     assert len(scan_catalog(generate_posets(6), checks=(), unimodal=True).non_unimodal) == 10
 
 
+def test_unimodal_scan_checks_the_two_routes_agree(monkeypatch):
+    # f's top coefficient and the tangled report count the same labelings
+    import promotion_sorting.harness as harness
+    from promotion_sorting import InternalError, TangleReport
+
+    count = harness.tangled_report
+
+    def over_count(p, **kwargs):
+        by_element = list(count(p, **kwargs).by_element)
+        by_element[-1] += 1
+        return TangleReport(sum(by_element), by_element)
+
+    monkeypatch.setattr(harness, "tangled_report", over_count)
+    cat = generate_posets(4, connected=True)
+    with pytest.raises(InternalError, match="tangled"):
+        scan_catalog(cat, unimodal=True)
+    scan_catalog(cat)
+
+
 def test_scan_rejects_unknown_check():
     cat = generate_posets(3)
     with pytest.raises(ValueError):
