@@ -40,33 +40,30 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _default_threads() -> int:
-    return os.cpu_count() or 1
-
-
 def _add_poset_arg(cmd):
     cmd.add_argument("--poset", required=True, metavar="FILE",
                      help="poset JSON file ({\"n\": .., \"covers\": [[i, j], ..]})")
 
 
 def _add_threads_arg(cmd):
-    cmd.add_argument("--threads", type=int, default=_default_threads(), metavar="N",
+    cmd.add_argument("--threads", type=int, default=os.cpu_count() or 1, metavar="N",
                      help="worker processes (default: machine parallelism)")
 
 
-def _load_labeled(args, extra: int = 0) -> tuple[Poset, tuple[int, ...]]:
+def _load_labeled(args, extra: int = 0) -> tuple[Poset, Optional[tuple[int, ...]]]:
     """The ``--poset`` document and its ``--labeling``, parsed first so that a
     document of another size is refused before its poset is built, and so is
-    one whose size plus ``extra`` exceeds ``CLOSED_FORM_MAX_N``."""
-    labels = parse_labeling(args.labeling)
+    one whose size plus ``extra`` exceeds ``CLOSED_FORM_MAX_N``.  An absent
+    ``--labeling`` gives ``None`` labels."""
+    labels = None if args.labeling is None else parse_labeling(args.labeling)
 
-    def same_length(n: int) -> None:
-        if n != len(labels):
+    def check_n(n: int) -> None:
+        if labels is not None and n != len(labels):
             raise ValueError(f"labeling {reprlib.repr(labels)} is not a bijection onto 1..{n}")
         _check_budget(n + extra, None, CLOSED_FORM_MAX_N, f"{args.command} poset elements")
 
-    p = load_poset(args.poset, same_length)
-    return p, validate_labeling(p, labels)
+    p = load_poset(args.poset, check_n)
+    return p, labels if labels is None else validate_labeling(p, labels)
 
 
 # -- DOT export -----------------------------------------------------------------
@@ -274,12 +271,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_export_dot(args) -> int:
-    if args.labeling:
-        p, labels = _load_labeled(args)
-    else:
-        p, labels = load_poset(args.poset, lambda n: _check_budget(
-            n, None, CLOSED_FORM_MAX_N, "export-dot poset elements")), None
-    text = export_dot(p, labels)
+    text = export_dot(*_load_labeled(args))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -319,7 +311,7 @@ def build_parser() -> _Parser:
     cmd.add_argument("--by-element", action="store_true",
                      help="split by the element holding label n-1")
     _add_threads_arg(cmd)
-    cmd.add_argument("--force", action="store_true")
+    cmd.add_argument("--force", action="store_true", help="override the size budget")
     cmd.add_argument("--json", action="store_true")
     cmd.set_defaults(func=_cmd_tangled)
 
@@ -344,11 +336,13 @@ def build_parser() -> _Parser:
     cmd.add_argument("--enumerate", action="store_true",
                      help="cross-check against brute-force enumeration")
     _add_threads_arg(cmd)
-    cmd.add_argument("--force", action="store_true")
+    cmd.add_argument("--force", action="store_true", help="override the size budget")
     cmd.set_defaults(func=_cmd_wposet)
 
     cmd = sub.add_parser("attach", help="hang a k-antichain under a generating function")
-    cmd.add_argument("--gf", required=True, help="space-separated coefficients, length n")
+    cmd.add_argument("--gf", required=True,
+                     help="space-separated coefficients, all n of them "
+                          "(gf's text output drops trailing zeros; use f from gf --json)")
     cmd.add_argument("--k", type=int, required=True)
     cmd.add_argument("--mode", default="sorting", help="sorting or cumulative")
     cmd.set_defaults(func=_cmd_attach)
@@ -376,7 +370,7 @@ def build_parser() -> _Parser:
     cmd.add_argument("--n", type=int, required=True)
     cmd.add_argument("--connected", action="store_true")
     cmd.add_argument("--out", metavar="FILE", help="write newline-delimited JSON here")
-    cmd.add_argument("--force", action="store_true")
+    cmd.add_argument("--force", action="store_true", help="override the size budget")
     cmd.set_defaults(func=_cmd_gen_posets)
 
     cmd = sub.add_parser("verify", help="sweep conjecture checks over catalogs")
@@ -387,12 +381,13 @@ def build_parser() -> _Parser:
     cmd.add_argument("--all-posets", action="store_true",
                      help="include disconnected posets")
     _add_threads_arg(cmd)
-    cmd.add_argument("--force", action="store_true")
+    cmd.add_argument("--force", action="store_true", help="override the size budget")
     cmd.set_defaults(func=_cmd_verify)
 
     cmd = sub.add_parser("export-dot", help="Graphviz text of the Hasse diagram")
     _add_poset_arg(cmd)
-    cmd.add_argument("--labeling", default=None)
+    # an empty --labeling draws without labels, as an absent one does
+    cmd.add_argument("--labeling", type=lambda text: text or None)
     cmd.add_argument("--out", metavar="FILE")
     cmd.set_defaults(func=_cmd_export_dot)
 

@@ -127,25 +127,12 @@ def build_w_poset(params: WParams) -> Poset:
              + ["y", "z"]
              + [f"g{i}" for i in range(1, c + 1)]
              + [f"d{i}" for i in range(1, d + 1)])
-    x = 0
-    alpha = list(range(1, a + 1))
-    beta = list(range(a + 1, a + b + 1))
-    y = a + b + 1
-    z = a + b + 2
-    gamma = list(range(a + b + 3, a + b + 3 + c))
-    delta = list(range(a + b + 3 + c, a + b + 3 + c + d))
-    covers = [(x, beta[0]) if beta else (x, y),
-              (z, gamma[0]) if gamma else (z, y)]
-    if alpha:
-        covers.append((x, alpha[0]))
-    if delta:
-        covers.append((z, delta[0]))
-    if beta:
-        covers.append((beta[-1], y))
-    if gamma:
-        covers.append((gamma[-1], y))
-    for run in (alpha, beta, gamma, delta):
-        covers += list(zip(run, run[1:]))
+    x, y, z = 0, a + b + 1, a + b + 2
+    chains = ([x, *range(1, a + 1)],
+              [x, *range(a + 1, y), y],
+              [z, *range(z + 1, z + 1 + c), y],
+              [z, *range(z + 1 + c, z + 1 + c + d)])
+    covers = [pair for run in chains for pair in zip(run, run[1:])]
     return Poset(a + b + c + d + 3, covers, names)
 
 

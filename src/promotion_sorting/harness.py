@@ -23,7 +23,13 @@ from .promotion import InternalError
 CANON_MAX_N = 10
 GENERATION_MAX_N = 8
 
-ALL_CHECKS = ("n-2", "hodges", "n-1")
+# Each conjecture check and the ConjectureReport flags that must all hold.
+_CHECK_FLAGS = {
+    "n-2": ("refined_ok", "equality_ok"),
+    "hodges": ("hodges_ok",),
+    "n-1": ("total_ok",),
+}
+ALL_CHECKS = tuple(_CHECK_FLAGS)
 
 
 # -- canonical forms -----------------------------------------------------------
@@ -57,20 +63,6 @@ def _refined_classes(p: Poset) -> list[int]:
         classes = new
 
 
-def _twin_ids(p: Poset) -> list[int]:
-    """Group elements with identical strict up- and down-sets.
-
-    Such elements are incomparable to each other, so transposing two of them
-    is an automorphism; search branches inside a group are interchangeable.
-    """
-    groups: dict[tuple, int] = {}
-    ids = []
-    for x in range(p.n):
-        key = (p.above[x], p.below[x])
-        ids.append(groups.setdefault(key, len(groups)))
-    return ids
-
-
 def canonicalize(p: Poset, force: bool = False) -> bytes:
     """Canonical byte string: equal exactly for isomorphic posets."""
     _check_budget(p.n, force, cap=CANON_MAX_N, what="canonicalized poset elements")
@@ -79,10 +71,7 @@ def canonicalize(p: Poset, force: bool = False) -> bytes:
     members: dict[int, list[int]] = {}
     for x in range(n):
         members.setdefault(classes[x], []).append(x)
-    blocks: list[int] = []
-    for cls in sorted(members):
-        blocks.extend([cls] * len(members[cls]))
-    twins = _twin_ids(p)
+    blocks = sorted(classes)
     above, below = p.above, p.below
 
     def search(placed: list[int], used: int) -> tuple:
@@ -92,6 +81,8 @@ def canonicalize(p: Poset, force: bool = False) -> bytes:
         cls = blocks[depth]
         best_sig = None
         chosen: list[int] = []
+        # Elements with equal strict up- and down-sets are incomparable twins:
+        # swapping two is an automorphism, so one branch per twin set suffices.
         seen_twins = set()
         for e in members[cls]:
             if used >> e & 1:
@@ -99,13 +90,14 @@ def canonicalize(p: Poset, force: bool = False) -> bytes:
             sig = tuple(
                 2 if below[e] >> q & 1 else (1 if above[e] >> q & 1 else 0)
                 for q in placed)
+            twin = (above[e], below[e])
             if best_sig is None or sig < best_sig:
                 best_sig = sig
                 chosen = [e]
-                seen_twins = {twins[e]}
-            elif sig == best_sig and twins[e] not in seen_twins:
+                seen_twins = {twin}
+            elif sig == best_sig and twin not in seen_twins:
                 chosen.append(e)
-                seen_twins.add(twins[e])
+                seen_twins.add(twin)
         best_tail = None
         for e in chosen:
             placed.append(e)
@@ -264,13 +256,6 @@ def check_conjectures(p: Poset, force: bool = False) -> ConjectureReport:
         hodges_ok=report.total <= (n - m) * bound,
         total_ok=report.total <= math.factorial(n - 1),
     )
-
-
-_CHECK_FLAGS = {
-    "n-2": ("refined_ok", "equality_ok"),
-    "hodges": ("hodges_ok",),
-    "n-1": ("total_ok",),
-}
 
 
 @dataclass(frozen=True)

@@ -98,7 +98,7 @@ class Poset:
 
     def __init__(self, n: int, covers: Iterable[Sequence[int]] = (),
                  names: Optional[Sequence[str]] = None):
-        if not isinstance(n, int) or n < 1:
+        if type(n) is not int or n < 1:  # bool is an int subclass
             raise ValueError(f"poset size must be a positive integer, got {reprlib.repr(n)}")
         pairs = _validate_covers(n, covers)
         above, below, heights, covers = _closure_from_pairs(n, pairs)
@@ -174,9 +174,6 @@ class Poset:
     def __repr__(self) -> str:
         return f"Poset(n={self.n}, covers={list(self.covers)})"
 
-    def __reduce__(self):
-        return (Poset, (self.n, self.covers, self.names))
-
 
 def _bits(mask: int):
     """Yield the set bit positions of ``mask`` in increasing order."""
@@ -198,30 +195,28 @@ def antichain(n: int) -> Poset:
     return Poset(n, [])
 
 
+def _union(p: Poset, q: Poset, links: list[tuple[int, int]]) -> Poset:
+    """``p`` and ``q`` side by side, ``q`` shifted up by ``p.n``, plus ``links``."""
+    shift = p.n
+    covers = list(p.covers) + [(a + shift, b + shift) for a, b in q.covers] + links
+    names = None
+    if p.names is not None and q.names is not None:
+        names = p.names + q.names
+    return Poset(p.n + q.n, covers, names)
+
+
 def ordinal_sum(p: Poset, q: Poset) -> Poset:
     """Every element of ``p`` below every element of ``q``.
 
     Elements of ``p`` keep their indices; elements of ``q`` are shifted up
     by ``p.n``.
     """
-    shift = p.n
-    covers = list(p.covers)
-    covers += [(a + shift, b + shift) for a, b in q.covers]
-    covers += [(m, t + shift) for m in p.maximals for t in q.minimals]
-    names = None
-    if p.names is not None and q.names is not None:
-        names = p.names + q.names
-    return Poset(p.n + q.n, covers, names)
+    return _union(p, q, [(m, t + p.n) for m in p.maximals for t in q.minimals])
 
 
 def disjoint_union(p: Poset, q: Poset) -> Poset:
     """Side-by-side union with no relations between the parts."""
-    shift = p.n
-    covers = list(p.covers) + [(a + shift, b + shift) for a, b in q.covers]
-    names = None
-    if p.names is not None and q.names is not None:
-        names = p.names + q.names
-    return Poset(p.n + q.n, covers, names)
+    return _union(p, q, [])
 
 
 # -- structural predicates --------------------------------------------------

@@ -36,9 +36,11 @@ class RangeError(ValueError):
 # -- labeling plumbing -------------------------------------------------------
 
 def validate_labeling(p: Poset, labels: Sequence[int]) -> tuple[int, ...]:
-    """Check that ``labels`` assigns 1..n bijectively; returns it as a tuple."""
+    """Check that ``labels`` assigns 1..n bijectively with plain ``int`` labels
+    (not floats or bools); returns it as a tuple."""
     labels = tuple(labels)
-    if len(labels) != p.n or sorted(labels) != list(range(1, p.n + 1)):
+    if (len(labels) != p.n or any(type(v) is not int for v in labels)
+            or sorted(labels) != list(range(1, p.n + 1))):
         raise ValueError(f"labeling {reprlib.repr(labels)} is not a bijection onto 1..{p.n}")
     return labels
 

@@ -241,6 +241,11 @@ def test_export_dot(capsys, tmp_path):
                        "--labeling", "2,3,1")
     assert code == 0
     assert '[label="0:2"]' in out
+    # an empty labeling draws without labels, as an absent one does
+    unlabeled = run(capsys, "export-dot", "--poset", str(lam_path))
+    assert run(capsys, "export-dot", "--poset", str(lam_path), "--labeling", "") == unlabeled
+    code, _, err = run(capsys, "order", "--poset", str(lam_path), "--labeling", "")
+    assert code == 1 and "not comma-separated integers" in err
     out_file = tmp_path / "dot.gv"
     code, _, _ = run(capsys, "export-dot", "--poset", str(lam_path),
                      "--out", str(out_file))

@@ -1,5 +1,7 @@
 """Shoelace, W-poset, and inflation constructors."""
 
+import itertools
+
 import pytest
 
 from promotion_sorting import (
@@ -90,6 +92,25 @@ def test_w_poset_degenerate():
     w0 = build_w_poset(WParams(0, 0, 0, 0))
     assert w0.n == 3
     assert iso(w0, LAMBDA)
+
+
+def test_w_poset_covers_are_its_four_chains():
+    # zero-length arms included: x < a-chain, x < b-chain < y, z < g-chain < y,
+    # z < d-chain, with elements laid out x, a, b, y, z, g, d
+    def arm(tag, k):
+        return [f"{tag}{i}" for i in range(1, k + 1)]
+
+    for arms in itertools.product(range(3), repeat=4):
+        a, b, c, d = arms
+        names = ["x", *arm("a", a), *arm("b", b), "y", "z", *arm("g", c), *arm("d", d)]
+        chains = [["x", *arm("a", a)], ["x", *arm("b", b), "y"],
+                  ["z", *arm("g", c), "y"], ["z", *arm("d", d)]]
+        index = {name: i for i, name in enumerate(names)}
+        covers = sorted((index[lo], index[hi]) for run in chains
+                        for lo, hi in zip(run, run[1:]))
+        w = build_w_poset(WParams(*arms))
+        assert w.names == tuple(names), arms
+        assert w.covers == tuple(covers), arms
 
 
 def test_w_as_shoelace_lengths():

@@ -21,6 +21,7 @@ from promotion_sorting import (
     poset_to_json,
     save_poset,
 )
+from promotion_sorting import posets
 from promotion_sorting.posets import _bits
 
 LAMBDA = Poset(3, [(0, 2), (1, 2)])
@@ -73,8 +74,9 @@ def test_cycle_rejected():
 def test_bad_cover_indices():
     with pytest.raises(IndexError):
         Poset(2, [(0, 5)])
-    with pytest.raises(ValueError):
-        Poset(0, [])
+    for size in (0, True, 2.0):
+        with pytest.raises(ValueError):
+            Poset(size, [])
     with pytest.raises(ValueError):
         Poset(2, [(0, 1)], names=["only-one"])
 
@@ -133,10 +135,18 @@ def test_equality_and_hash():
     assert LAMBDA != Poset(3, [(0, 1), (0, 2)])
 
 
-def test_pickle_roundtrip():
-    q = pickle.loads(pickle.dumps(FUNNEL))
+def test_pickle_roundtrip(monkeypatch):
+    data = pickle.dumps(FUNNEL)
+
+    def rebuilt(*args):
+        raise AssertionError("unpickling rebuilt the order")
+
+    monkeypatch.setattr(posets, "_closure_from_pairs", rebuilt)
+    q = pickle.loads(data)
     assert q == FUNNEL
-    assert q.names == FUNNEL.names
+    for field in ("covers", "heights", "minimals", "maximals", "names"):
+        assert getattr(q, field) == getattr(FUNNEL, field), field
+    assert hash(q) == hash(FUNNEL)
 
 
 def test_funnel_figure():

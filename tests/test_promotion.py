@@ -178,9 +178,13 @@ def test_lift_validates_indices():
 
 def test_validate_labeling():
     assert validate_labeling(LAMBDA, [2, 3, 1]) == (2, 3, 1)
-    for bad in ([1, 2], [1, 1, 2], [0, 1, 2], [1, 2, 4]):
+    for bad in ([1, 2], [1, 1, 2], [0, 1, 2], [1, 2, 4], [2.0, 3, 1], [2, 3, True]):
         with pytest.raises(ValueError):
             validate_labeling(LAMBDA, bad)
+    # floats failed only later, with a TypeError; True equals 1 and gave order 0
+    for bad in ((1.0, 2.0), (True, 2)):
+        with pytest.raises(ValueError, match="not a bijection"):
+            order(chain(2), bad)
 
 
 def test_parse_format_labeling():
