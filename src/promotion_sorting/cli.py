@@ -71,11 +71,9 @@ def _load_labeled(args, extra: int = 0) -> tuple[Poset, Optional[tuple[int, ...]
 def export_dot(p: Poset, labels: Optional[Sequence[int]] = None) -> str:
     """Graphviz text for the Hasse diagram, byte-stable for equal inputs.
 
-    Elements of equal height share a rank; an optional labeling captions
-    each node as element:label.
+    Elements of equal height share a rank; an optional labeling, already
+    checked by ``validate_labeling``, captions each node as element:label.
     """
-    if labels is not None:
-        labels = validate_labeling(p, labels)
     lines = ["digraph poset {", "  rankdir=BT;"]
     tiers: dict[int, list[int]] = {}
     for e in range(p.n):

@@ -115,7 +115,7 @@ def sequence_shape(values: Sequence[int]) -> SequenceShape:
         i += 1
     while i + 1 < len(v) and v[i] >= v[i + 1]:
         i += 1
-    unimodal = i == len(v) - 1
+    unimodal = i >= len(v) - 1
     log_concave = all(v[j] * v[j] >= v[j - 1] * v[j + 1] for j in range(1, len(v) - 1))
     return SequenceShape(unimodal=unimodal, log_concave=log_concave)
 

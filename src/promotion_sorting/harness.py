@@ -23,13 +23,8 @@ from .promotion import InternalError
 CANON_MAX_N = 10
 GENERATION_MAX_N = 8
 
-# Each conjecture check and the ConjectureReport flags that must all hold.
-_CHECK_FLAGS = {
-    "n-2": ("refined_ok", "equality_ok"),
-    "hodges": ("hodges_ok",),
-    "n-1": ("total_ok",),
-}
-ALL_CHECKS = tuple(_CHECK_FLAGS)
+# The conjecture checks, in the order ConjectureReport.failed lists them.
+ALL_CHECKS = ("n-2", "hodges", "n-1")
 
 
 # -- canonical forms -----------------------------------------------------------
@@ -210,25 +205,22 @@ class ConjectureReport:
     ``by_element[x]`` counts tangled labelings with label n - 1 on x.  The
     per-element bound is (n-2)! with equality predicted exactly when x lies
     in a funnel (one minimal element sits below it); the aggregate bounds
-    are (n-m)(n-2)! for m minimal elements and (n-1)! overall.
+    are (n-m)(n-2)! for m minimal elements and (n-1)! overall.  ``failed``
+    names the checks of ``ALL_CHECKS`` that do not hold, in that order:
+    n-2 fails when a count exceeds its bound or breaks the equality rule.
     """
 
-    n: int
-    covers: tuple
     by_element: tuple
     total: int
     per_element_bound: int
     equality_expected: tuple
     hodges_bound: int
     total_bound: int
-    refined_ok: bool
-    equality_ok: bool
-    hodges_ok: bool
-    total_ok: bool
+    failed: tuple
 
     @property
     def passed(self) -> bool:
-        return self.refined_ok and self.equality_ok and self.hodges_ok and self.total_ok
+        return not self.failed
 
 
 def check_conjectures(p: Poset, force: bool = False) -> ConjectureReport:
@@ -242,19 +234,21 @@ def check_conjectures(p: Poset, force: bool = False) -> ConjectureReport:
     in_funnel = frozenset().union(*funnel_and_basins(p).values())
     expected = tuple(x in in_funnel for x in range(n))
     counts = report.by_element
+    hodges_bound = (n - m) * bound
+    total_bound = math.factorial(n - 1)
+    holds = (
+        all(c <= bound and (c == bound) == e for c, e in zip(counts, expected)),
+        report.total <= hodges_bound,
+        report.total <= total_bound,
+    )
     return ConjectureReport(
-        n=n,
-        covers=p.covers,
         by_element=counts,
         total=report.total,
         per_element_bound=bound,
         equality_expected=expected,
-        hodges_bound=(n - m) * bound,
-        total_bound=math.factorial(n - 1),
-        refined_ok=all(c <= bound for c in counts),
-        equality_ok=all((c == bound) == e for c, e in zip(counts, expected)),
-        hodges_ok=report.total <= (n - m) * bound,
-        total_ok=report.total <= math.factorial(n - 1),
+        hodges_bound=hodges_bound,
+        total_bound=total_bound,
+        failed=tuple(check for check, ok in zip(ALL_CHECKS, holds) if not ok),
     )
 
 
@@ -262,7 +256,6 @@ def check_conjectures(p: Poset, force: bool = False) -> ConjectureReport:
 class ScanReport:
     """Aggregate result of sweeping conjecture checks over a catalog."""
 
-    n: int
     scanned: int
     checks: tuple
     failures: tuple
@@ -274,22 +267,21 @@ class ScanReport:
 
 
 def _scan_one(args):
+    """``(report, coeffs)`` for one poset: the report only when a selected
+    check fails, and f only when it is not unimodal; ``None`` otherwise."""
     p, checks, unimodal, force = args
-    verdict_ok = True
-    report = None
+    report = coeffs = None
     if checks and p.n >= 2:
         report = check_conjectures(p, force=force)
-        verdict_ok = all(
-            getattr(report, flag)
-            for check in checks for flag in _CHECK_FLAGS[check])
-    gf_coeffs = None
     if unimodal:
         coeffs = sorting_gf(p, force=force).coeffs
         if report is not None and coeffs[-1] != report.total:
             raise InternalError(f"f counts {coeffs[-1]} tangled labelings, not {report.total}")
-        if not sequence_shape(coeffs).unimodal:
-            gf_coeffs = coeffs
-    return verdict_ok, report, gf_coeffs
+        if sequence_shape(coeffs).unimodal:
+            coeffs = None
+    if report is not None and not any(check in report.failed for check in checks):
+        report = None
+    return report, coeffs
 
 
 def scan_catalog(catalog: PosetCatalog, checks: Sequence[str] = ALL_CHECKS,
@@ -306,18 +298,15 @@ def scan_catalog(catalog: PosetCatalog, checks: Sequence[str] = ALL_CHECKS,
     """
     checks = tuple(checks)
     for check in checks:
-        if check not in _CHECK_FLAGS:
-            raise ValueError(f"unknown check {check!r}; pick from {sorted(_CHECK_FLAGS)}")
+        if check not in ALL_CHECKS:
+            raise ValueError(f"unknown check {check!r}; pick from {sorted(ALL_CHECKS)}")
     tasks = [(p, checks, unimodal, force) for p in catalog.entries]
     results = _run_chunks(_scan_one, tasks, workers)
-    failures = tuple(
-        (idx, report) for idx, (ok, report, _) in enumerate(results) if not ok)
-    flagged = tuple(
-        (idx, coeffs) for idx, (_, _, coeffs) in enumerate(results) if coeffs is not None)
     return ScanReport(
-        n=catalog.n,
         scanned=len(tasks),
         checks=checks,
-        failures=failures,
-        non_unimodal=flagged,
+        failures=tuple((idx, report) for idx, (report, _) in enumerate(results)
+                       if report is not None),
+        non_unimodal=tuple((idx, coeffs) for idx, (_, coeffs) in enumerate(results)
+                           if coeffs is not None),
     )

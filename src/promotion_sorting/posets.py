@@ -132,9 +132,6 @@ class Poset:
         """Bitmask of the principal lower order ideal of x (inclusive)."""
         return self.below[x] | (1 << x)
 
-    def up_ideal(self, x: int) -> int:
-        return self.above[x] | (1 << x)
-
     def is_connected(self) -> bool:
         """Whether the Hasse diagram is a connected graph."""
         if self.n == 1:

@@ -203,6 +203,19 @@ def test_verify_clean_sweep(capsys):
     assert lines[-1] == "n=4: 10 posets, 0 counterexamples, 0 non-unimodal"
 
 
+def test_thread_count_never_changes_output(capsys, tmp_path):
+    from promotion_sorting import WParams, build_w_poset
+
+    path = tmp_path / "w.json"
+    save_poset(build_w_poset(WParams(1, 1, 1, 1)), path)
+    for argv in (["verify", "--max-n", "5", "--all-posets", "--unimodal"],
+                 ["gf", "--poset", str(path), "--json"],
+                 ["tangled", "--poset", str(path), "--json"]):
+        serial = run(capsys, *argv, "--threads", "1")
+        assert serial[0] == 0 and serial[1]
+        assert run(capsys, *argv, "--threads", "2") == serial
+
+
 def test_verify_budget_gate(capsys):
     code, _, err = run(capsys, "verify", "--max-n", "7")
     assert code == 2

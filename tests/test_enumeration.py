@@ -286,6 +286,8 @@ def test_sequence_shape():
     # log-concavity fails on an interior dip even though unimodality may hold
     assert sequence_shape((1, 1, 4, 1)).log_concave is False
     assert sequence_shape((0, 5, 0, 5)).unimodal is False
+    # an empty sequence is vacuously unimodal and log-concave
+    assert sequence_shape(()).unimodal and sequence_shape(()).log_concave
 
 
 def test_budget_refusal():
@@ -333,3 +335,22 @@ def test_budget_error_is_raised_in_one_place():
     for path in sorted(Path(promotion_sorting.__file__).parent.glob("*.py")):
         Finder(path.name).visit(ast.parse(path.read_text()))
     assert found == [("enumeration.py", "_check_budget")]
+
+
+def test_the_core_stays_dependency_free():
+    import ast
+    import sys
+    from pathlib import Path
+
+    import promotion_sorting
+
+    imported = set()
+    for path in sorted(Path(promotion_sorting.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update((path.name, alias.name) for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                imported.add((path.name, node.module))
+    assert imported
+    assert [(name, module) for name, module in sorted(imported)
+            if module.split(".")[0] not in sys.stdlib_module_names] == []

@@ -308,3 +308,35 @@ def test_scan_rejects_unknown_check():
     with pytest.raises(ValueError):
         scan_catalog(cat, checks=("n-3",))
 
+
+def test_scan_reports_only_the_failing_poset(monkeypatch):
+    import promotion_sorting.harness as harness
+    from promotion_sorting import TangleReport
+
+    cat = generate_posets(4)
+    target = canonicalize(chain(4))
+    idx = next(i for i, p in enumerate(cat.entries) if canonicalize(p) == target)
+    count = harness.tangled_report
+
+    def skew_top_count(delta):
+        def skewed(p, **kwargs):
+            by_element = list(count(p, **kwargs).by_element)
+            if canonicalize(p) == target:
+                by_element[-1] += delta
+            return TangleReport(sum(by_element), by_element)
+
+        monkeypatch.setattr(harness, "tangled_report", skewed)
+
+    # the chain's top element exceeds (n-1)!, so every bound breaks
+    skew_top_count(factorial(3) + 1)
+    for workers in (1, 2):
+        report = scan_catalog(cat, workers=workers)
+        assert [i for i, _ in report.failures] == [idx]
+        assert report.failures[0][1].failed == ("n-2", "hodges", "n-1")
+        assert not report.passed
+    # one short of (n-2)! on a funnel element breaks only the equality rule
+    skew_top_count(-1)
+    for workers in (1, 2):
+        report = scan_catalog(cat, workers=workers)
+        assert [(i, r.failed) for i, r in report.failures] == [(idx, ("n-2",))]
+    assert scan_catalog(cat, checks=("hodges",)).failures == ()
