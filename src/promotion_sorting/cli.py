@@ -46,7 +46,13 @@ def _add_poset_arg(cmd):
 
 
 def _add_threads_arg(cmd):
-    cmd.add_argument("--threads", type=int, default=os.cpu_count() or 1, metavar="N",
+    def worker_count(text: str) -> int:
+        count = int(text)
+        if count < 1:
+            raise argparse.ArgumentTypeError(f"worker count must be at least 1, got {count}")
+        return count
+
+    cmd.add_argument("--threads", type=worker_count, default=os.cpu_count() or 1, metavar="N",
                      help="worker processes (default: machine parallelism)")
 
 
@@ -232,7 +238,8 @@ def _cmd_weak_order(args) -> int:
 
 
 def _cmd_gen_posets(args) -> int:
-    catalog = generate_posets(args.n, connected=args.connected, force=args.force)
+    catalog = generate_posets(args.n, connected=args.connected, force=args.force,
+                              workers=args.threads)
     if args.out:
         save_catalog(catalog, args.out)
     else:
@@ -247,7 +254,8 @@ def _cmd_verify(args) -> int:
     _check_budget(args.max_n, args.force, VERIFY_DEFAULT_MAX_N, "verify sweep poset elements")
     checks = ALL_CHECKS if args.conjecture == "all" else (args.conjecture,)
     found = 0
-    for n, level in enumerate(poset_levels(args.max_n, force=args.force), start=1):
+    levels = poset_levels(args.max_n, force=args.force, workers=args.threads)
+    for n, level in enumerate(levels, start=1):
         if n < 2:
             continue
         entries = tuple(p for p in level if args.all_posets or p.is_connected())
@@ -368,6 +376,7 @@ def build_parser() -> _Parser:
     cmd.add_argument("--n", type=int, required=True)
     cmd.add_argument("--connected", action="store_true")
     cmd.add_argument("--out", metavar="FILE", help="write newline-delimited JSON here")
+    _add_threads_arg(cmd)
     cmd.add_argument("--force", action="store_true", help="override the size budget")
     cmd.set_defaults(func=_cmd_gen_posets)
 

@@ -123,9 +123,12 @@ def sequence_shape(values: Sequence[int]) -> SequenceShape:
 # -- task dispatch -------------------------------------------------------------
 
 def _run_chunks(worker, tasks, workers: int):
-    """``[worker(t) for t in tasks]``, on a process pool when that can help.
+    """Yield ``worker(t)`` for each of ``tasks``, in task order, on a process
+    pool when that can help.
 
-    The pool gets at most one process per task and per CPU; with a single
+    The pool gets at most one process per task and per CPU, and streams the
+    results back through ``imap`` in batches of the size ``Pool.map`` would
+    use, so a caller can consume each result as it arrives.  With a single
     process the tasks run in this process and no pool starts.  A worker
     count below 1 is a ``ValueError``.
     """
@@ -133,14 +136,15 @@ def _run_chunks(worker, tasks, workers: int):
         raise ValueError(f"worker count must be at least 1, got {workers}")
     processes = min(workers, os.cpu_count() or 1, len(tasks))
     if processes <= 1:
-        return [worker(t) for t in tasks]
+        yield from map(worker, tasks)
+        return
     with Pool(processes=processes) as pool:
-        return pool.map(worker, tasks)
+        yield from pool.imap(worker, tasks, -(-len(tasks) // (4 * processes)))
 
 
 def _histogram(p: Poset, task, tails, workers: int) -> list[int]:
     """Sum of ``task((p, tail))`` over ``tails``; zeros when there are none."""
-    results = _run_chunks(task, [(p, tail) for tail in tails], workers)
+    results = list(_run_chunks(task, [(p, tail) for tail in tails], workers))
     return [sum(col) for col in zip([0] * p.n, *results)]
 
 

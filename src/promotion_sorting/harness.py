@@ -139,13 +139,27 @@ class PosetCatalog:
         return len(self.entries)
 
 
-def poset_levels(max_n: int, force: bool = False) -> Iterator[tuple]:
+def _grow_task(args) -> list[tuple[bytes, int]]:
+    """``(canonical form, ideal mask)`` of the first child of ``p`` in each
+    isomorphism class, children taken one per lower ideal in mask order."""
+    p, force = args
+    firsts: dict[bytes, int] = {}
+    for mask in _lower_ideal_masks(p):
+        firsts.setdefault(canonicalize(_extend_by_maximal(p, mask), force=force), mask)
+    return list(firsts.items())
+
+
+def poset_levels(max_n: int, force: bool = False, workers: int = 1) -> Iterator[tuple]:
     """Yield one representative per isomorphism class for n = 1, .., max_n.
 
     Grows size by size: every poset on k + 1 elements arises from a poset on
     k elements by adding a new maximal element over a lower order ideal, and
-    canonical forms collapse the duplicate histories.  Each yielded level is
-    a tuple sorted by canonical form, so catalogs are deterministic.
+    canonical forms collapse the duplicate histories.  Each level runs one
+    ``_grow_task`` per parent through ``_run_chunks``; the results stream
+    back in parent order as (canonical form, ideal mask) pairs, and a child
+    ``Poset`` is built here only for a form not seen before.  The first-seen
+    child represents its class whatever ``workers`` is, and each yielded
+    level is a tuple sorted by canonical form, so catalogs are deterministic.
     """
     _check_budget(max_n, force, cap=GENERATION_MAX_N, what="catalog poset elements")
     if max_n < 1:
@@ -153,18 +167,21 @@ def poset_levels(max_n: int, force: bool = False) -> Iterator[tuple]:
     level = {canonicalize(Poset(1), force=force): Poset(1)}
     for n in range(1, max_n + 1):
         if n > 1:
-            grown: dict[bytes, Poset] = {}
-            for p in level.values():
-                for mask in _lower_ideal_masks(p):
-                    q = _extend_by_maximal(p, mask)
-                    grown.setdefault(canonicalize(q, force=force), q)
-            level = grown
+            parents = tuple(level.values())
+            results = _run_chunks(_grow_task, [(p, force) for p in parents], workers)
+            level = {}
+            # results first, so zip exhausts the generator and its pool shuts down
+            for children, p in zip(results, parents):
+                for key, mask in children:
+                    if key not in level:
+                        level[key] = _extend_by_maximal(p, mask)
         yield tuple(level[key] for key in sorted(level))
 
 
-def generate_posets(n: int, connected: bool = False, force: bool = False) -> PosetCatalog:
+def generate_posets(n: int, connected: bool = False, force: bool = False,
+                    workers: int = 1) -> PosetCatalog:
     """The last level of :func:`poset_levels`, optionally connected posets only."""
-    *_, entries = poset_levels(n, force=force)
+    *_, entries = poset_levels(n, force=force, workers=workers)
     if connected:
         entries = tuple(p for p in entries if p.is_connected())
     return PosetCatalog(n=n, connected_only=connected, entries=entries)
@@ -301,7 +318,7 @@ def scan_catalog(catalog: PosetCatalog, checks: Sequence[str] = ALL_CHECKS,
         if check not in ALL_CHECKS:
             raise ValueError(f"unknown check {check!r}; pick from {sorted(ALL_CHECKS)}")
     tasks = [(p, checks, unimodal, force) for p in catalog.entries]
-    results = _run_chunks(_scan_one, tasks, workers)
+    results = list(_run_chunks(_scan_one, tasks, workers))
     return ScanReport(
         scanned=len(tasks),
         checks=checks,

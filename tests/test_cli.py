@@ -210,10 +210,18 @@ def test_thread_count_never_changes_output(capsys, tmp_path):
     save_poset(build_w_poset(WParams(1, 1, 1, 1)), path)
     for argv in (["verify", "--max-n", "5", "--all-posets", "--unimodal"],
                  ["gf", "--poset", str(path), "--json"],
-                 ["tangled", "--poset", str(path), "--json"]):
+                 ["tangled", "--poset", str(path), "--json"],
+                 ["gen-posets", "--n", "6"]):
         serial = run(capsys, *argv, "--threads", "1")
         assert serial[0] == 0 and serial[1]
         assert run(capsys, *argv, "--threads", "2") == serial
+    catalogs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"cat{threads}.ndjson"
+        assert run(capsys, "gen-posets", "--n", "6", "--connected", "--out", str(out),
+                   "--threads", threads) == (0, "", "238 posets with 6 elements (connected)\n")
+        catalogs.append(out.read_text())
+    assert catalogs[0] == catalogs[1] and catalogs[0].count("\n") == 238
 
 
 def test_verify_budget_gate(capsys):
@@ -291,10 +299,25 @@ def test_user_errors(capsys, lam_file, tmp_path):
     code, _, err = run(capsys, "wposet", "--a", "0", "--b", "1", "--c", "1", "--d", "1")
     assert code == 1
     for threads in ("0", "-3"):
-        code, _, err = run(capsys, "verify", "--max-n", "3", "--threads", threads)
-        assert code == 1 and "worker count" in err
-        code, _, err = run(capsys, "gf", "--poset", lam_file, "--threads", threads)
-        assert code == 1 and "worker count" in err
+        for argv in (("verify", "--max-n", "3"), ("gf", "--poset", lam_file)):
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, "--threads", threads])
+            assert exc.value.code == 1 and "worker count" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("gen-posets", "--n", "1", "--threads", "0"),
+    ("verify", "--max-n", "1", "--threads", "0"),
+    ("wposet", "--a", "1", "--b", "1", "--c", "1", "--d", "1", "--threads", "-3"),
+], ids=lambda argv: argv[0])
+def test_threads_below_one_is_a_usage_error(capsys, argv):
+    # refused when parsed, even where no pool would start
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --threads: worker count must be at least 1" in captured.err
 
 
 def test_budget_exit(capsys, tmp_path):

@@ -111,17 +111,21 @@ def test_worker_count_is_clamped(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, worker, tasks):
-            return [worker(t) for t in tasks]
+        def imap(self, worker, tasks, chunksize):
+            # the batch size Pool.map would pick
+            assert chunksize == -(-len(tasks) // (4 * asked[-1]))
+            return map(worker, tasks)
 
     monkeypatch.setattr(enumeration, "Pool", FakePool)
     monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 3)
     cat = generate_posets(4, connected=True)
     assert sorting_gf(THREE_BASINS, workers=64) == sorting_gf(THREE_BASINS)
     assert scan_catalog(cat, workers=64) == scan_catalog(cat)
+    # growth runs one task per parent: 1, 2, 5 and 16 parents for n = 2..5
+    assert generate_posets(5, workers=64) == generate_posets(5)
     monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 64)
     assert scan_catalog(cat, workers=1000) == scan_catalog(cat)
-    assert asked == [3, 3, len(cat)]
+    assert asked == [3, 3, 2, 3, 3, len(cat)]
     for bad in (0, -3):
         with pytest.raises(ValueError):
             sorting_gf(T222, workers=bad)
@@ -129,7 +133,9 @@ def test_worker_count_is_clamped(monkeypatch):
             tangled_report(T222, workers=bad)
         with pytest.raises(ValueError):
             scan_catalog(cat, workers=bad)
-    assert asked == [3, 3, len(cat)]
+        with pytest.raises(ValueError):
+            generate_posets(5, workers=bad)
+    assert asked == [3, 3, 2, 3, 3, len(cat)]
 
 
 def test_defective_kernel_fails_instead_of_hanging(monkeypatch):
@@ -223,9 +229,9 @@ def test_tangled_split_invariance(monkeypatch, p):
         def __exit__(self, *exc):
             return False
 
-        def map(self, worker, tasks):
+        def imap(self, worker, tasks, chunksize):
             seen.append([tail for _, tail in tasks])
-            return [worker(t) for t in tasks]
+            return map(worker, tasks)
 
     monkeypatch.setattr(enumeration, "Pool", FakePool)
     monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 7)

@@ -124,13 +124,24 @@ def test_catalog_counts(n):
     assert len(generate_posets(n, connected=True)) == CONNECTED_COUNTS[n]
 
 
-@pytest.mark.parametrize("max_n", [7, pytest.param(8, marks=pytest.mark.slow)])
-def test_catalog_levels_match_oeis(max_n):
+@pytest.mark.parametrize("max_n, workers", [pytest.param(7, 1, id="7"),
+                                             pytest.param(8, 2, marks=pytest.mark.slow, id="8")])
+def test_catalog_levels_match_oeis(max_n, workers):
     # one growth pass pins every level up to max_n
-    for n, level in enumerate(poset_levels(max_n), start=1):
+    for n, level in enumerate(poset_levels(max_n, workers=workers), start=1):
         assert len(level) == ISO_CLASS_COUNTS[n]
         assert sum(p.is_connected() for p in level) == CONNECTED_COUNTS[n]
     assert n == max_n
+
+
+def test_worker_count_never_changes_representatives(monkeypatch):
+    # two CPUs, so the pooled run really starts a pool on any machine
+    from promotion_sorting import enumeration
+
+    monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)
+    serial = [[p.covers for p in level] for level in poset_levels(7)]
+    pooled = [[p.covers for p in level] for level in poset_levels(7, workers=2)]
+    assert pooled == serial
 
 
 def test_lower_ideals_match_brute_filter():
