@@ -21,8 +21,8 @@ from .families import WParams, build_w_poset, inflation_spec_from_json
 from .formulas import (CLOSED_FORM_MAX_N, attach_antichain, broom_f, irf_bound,
                        irf_tangled_by_element, ordinal_sum_antichains_g,
                        pedestal_coeffs, w_poset_tangled, weak_order_family)
-from .harness import (ALL_CHECKS, PosetCatalog, generate_posets, poset_levels,
-                      save_catalog, scan_catalog)
+from .harness import (PosetCatalog, generate_posets, poset_levels, save_catalog,
+                      scan_catalog)
 from .posets import Poset, decode_json, load_poset, poset_to_json
 from .promotion import (format_labeling, lift_labeling, order, parse_labeling,
                         promote, validate_labeling)
@@ -252,7 +252,6 @@ def _cmd_gen_posets(args) -> int:
 
 def _cmd_verify(args) -> int:
     _check_budget(args.max_n, args.force, VERIFY_DEFAULT_MAX_N, "verify sweep poset elements")
-    checks = ALL_CHECKS if args.conjecture == "all" else (args.conjecture,)
     found = 0
     levels = poset_levels(args.max_n, force=args.force, workers=args.threads)
     for n, level in enumerate(levels, start=1):
@@ -260,15 +259,15 @@ def _cmd_verify(args) -> int:
             continue
         entries = tuple(p for p in level if args.all_posets or p.is_connected())
         catalog = PosetCatalog(n=n, connected_only=not args.all_posets, entries=entries)
-        report = scan_catalog(catalog, checks=checks, unimodal=args.unimodal,
-                              workers=args.threads, force=args.force)
+        report = scan_catalog(catalog, unimodal=args.unimodal, workers=args.threads,
+                              force=args.force)
         line = f"n={n}: {report.scanned} posets, {len(report.failures)} counterexamples"
         if args.unimodal:
             line += f", {len(report.non_unimodal)} non-unimodal"
         print(line)
         for idx, item in report.failures:
             print(f"  counterexample: covers={list(catalog.entries[idx].covers)} "
-                  f"counts={list(item.by_element)}")
+                  f"counts={list(item.by_element)} failed={','.join(item.failed)}")
         for idx, coeffs in report.non_unimodal:
             print(f"  non-unimodal: covers={list(catalog.entries[idx].covers)} "
                   f"f={list(coeffs)}")
@@ -382,7 +381,6 @@ def build_parser() -> _Parser:
 
     cmd = sub.add_parser("verify", help="sweep conjecture checks over catalogs")
     cmd.add_argument("--max-n", type=int, default=VERIFY_DEFAULT_MAX_N)
-    cmd.add_argument("--conjecture", default="all", choices=(*ALL_CHECKS, "all"))
     cmd.add_argument("--unimodal", action="store_true",
                      help="also flag non-unimodal sorting gfs")
     cmd.add_argument("--all-posets", action="store_true",

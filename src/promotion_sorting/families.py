@@ -14,7 +14,7 @@ Three families appear throughout the package:
 from __future__ import annotations
 
 import reprlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping, Optional
 
 from .posets import DisconnectedError, Poset, SpecError, poset_from_doc
@@ -34,23 +34,14 @@ class ForestError(ValueError):
 class ShoelaceSpec:
     """Description of a shoelace poset.
 
-    ``minimals`` and ``maximals`` count the bottom and top tier.  ``pairs``
-    holds the comparable (i, j) tier pairs, 1-based on both sides, and
-    ``chain_lengths`` gives the number of interior elements on the chain
-    joining each pair (missing pairs default to 0, meaning a cover).
+    ``minimals`` and ``maximals`` count the bottom and top tier.  ``chains``
+    maps each comparable (i, j) tier pair, 1-based on both sides, to the
+    number of interior elements on the chain joining it (0 means a cover).
     """
 
     minimals: int
     maximals: int
-    pairs: frozenset = field(default_factory=frozenset)
-    chain_lengths: Mapping = field(default_factory=dict)
-
-    def __post_init__(self):
-        pairs = frozenset((int(i), int(j)) for i, j in self.pairs)
-        object.__setattr__(self, "pairs", pairs)
-
-    def length_of(self, pair: tuple[int, int]) -> int:
-        return int(self.chain_lengths.get(pair, 0))
+    chains: Mapping
 
 
 def build_shoelace(spec: ShoelaceSpec) -> Poset:
@@ -58,37 +49,35 @@ def build_shoelace(spec: ShoelaceSpec) -> Poset:
 
     Element layout: minimal elements first (``x1..``), then maximal elements
     (``y1..``), then the interior chain elements grouped by pair in sorted
-    pair order, each chain listed bottom to top.  Raises SpecError for
-    malformed data and DisconnectedError when the result is not connected.
+    pair order, each chain listed bottom to top.  Raises SpecError unless
+    every key is a pair of in-range ``int``s and every value an ``int``
+    >= 0 (a ``bool`` is neither), and DisconnectedError when the result is
+    not connected.
     """
     l, m = spec.minimals, spec.maximals
     if l < 1 or m < 1:
         raise SpecError("a shoelace needs at least one minimal and one maximal element")
-    if not spec.pairs:
+    if not spec.chains:
         raise DisconnectedError("a shoelace with no comparable pairs is disconnected")
-    for i, j in spec.pairs:
-        if not (1 <= i <= l and 1 <= j <= m):
-            raise SpecError(f"pair ({i}, {j}) out of range for {l} minimals, {m} maximals")
-    for pair, val in spec.chain_lengths.items():
-        key = (int(pair[0]), int(pair[1]))
-        if key not in spec.pairs:
-            raise SpecError(f"chain length given for absent pair {key}")
-        if int(val) < 0:
-            raise SpecError(f"chain length for {key} must be nonnegative")
+    for pair, length in spec.chains.items():
+        if not (isinstance(pair, tuple) and len(pair) == 2 and all(type(v) is int for v in pair)
+                and 1 <= pair[0] <= l and 1 <= pair[1] <= m):
+            raise SpecError(f"pair {reprlib.repr(pair)} out of range for {l} minimals, "
+                            f"{m} maximals")
+        if type(length) is not int or length < 0:
+            raise SpecError(f"chain length for {pair} is {reprlib.repr(length)}, not an int >= 0")
 
     names = [f"x{i}" for i in range(1, l + 1)] + [f"y{j}" for j in range(1, m + 1)]
     covers: list[tuple[int, int]] = []
     nxt = l + m
-    for i, j in sorted(spec.pairs):
-        bottom = i - 1
-        top = l + j - 1
-        prev = bottom
-        for t in range(spec.length_of((i, j))):
+    for (i, j), length in sorted(spec.chains.items()):
+        prev = i - 1
+        for t in range(length):
             names.append(f"c{i}.{j}.{t + 1}")
             covers.append((prev, nxt))
             prev = nxt
             nxt += 1
-        covers.append((prev, top))
+        covers.append((prev, l + j - 1))
     poset = Poset(nxt, covers, names)
     if not poset.is_connected():
         raise DisconnectedError("shoelace specification splits into disconnected parts")
@@ -146,11 +135,8 @@ def w_as_shoelace(params: WParams) -> ShoelaceSpec:
     a, b, c, d = params.a, params.b, params.c, params.d
     if min(a, b, c, d) < 1:
         raise SpecError("the shoelace view of W needs positive arm lengths")
-    return ShoelaceSpec(
-        minimals=2, maximals=3,
-        pairs=frozenset({(1, 1), (1, 2), (2, 2), (2, 3)}),
-        chain_lengths={(1, 1): a - 1, (1, 2): b, (2, 2): c, (2, 3): d - 1},
-    )
+    return ShoelaceSpec(minimals=2, maximals=3,
+                        chains={(1, 1): a - 1, (1, 2): b, (2, 2): c, (2, 3): d - 1})
 
 
 # -- inflations of rooted forests --------------------------------------------

@@ -185,13 +185,15 @@ def attach_antichain(gf, k: int, mode: str = "sorting") -> GenFun:
     poset; the result is the length-(n + k) vector of the ordinal sum with a
     k-element antichain hung below it.
     """
-    coeffs = tuple(int(c) for c in (gf.coeffs if isinstance(gf, GenFun) else gf))
+    coeffs = tuple(gf.coeffs if isinstance(gf, GenFun) else gf)
     n = len(coeffs)
     if n < 1:
         raise ParamError("the input vector must be nonempty")
     if k < 1:
         raise ParamError("the antichain size k must be at least 1")
     _check_budget(n + k, None, CLOSED_FORM_MAX_N, "attached antichain poset elements")
+    if any(type(c) is not int for c in coeffs):  # bool is an int subclass
+        raise ParamError("generating function coefficients must be integers")
     if any(c < 0 for c in coeffs):
         raise ParamError("generating function coefficients must be nonnegative")
     if mode == "sorting":
@@ -263,8 +265,8 @@ def ordinal_sum_antichains_g(sizes: Sequence[int]) -> GenFun:
     antichain underneath.  Coefficient s only depends on which prefix of
     ``sizes`` is fully sorted after s steps.
     """
-    sizes = tuple(int(c) for c in sizes)
-    if not sizes or any(c < 1 for c in sizes):
+    sizes = tuple(sizes)
+    if not sizes or any(type(c) is not int or c < 1 for c in sizes):
         raise ParamError("antichain sizes must be positive integers")
     _check_budget(sum(sizes), None, CLOSED_FORM_MAX_N, "antichain stack elements")
     prefix = list(accumulate(sizes))
@@ -361,7 +363,9 @@ def weak_order_family(composition: Sequence[int]) -> CoeffFamily:
     6 entries (d <= 720, about a second): at 7 entries d reaches 5,040 and
     the comparisons alone number about 25 million.
     """
-    entries = tuple(int(c) for c in composition)
+    entries = tuple(composition)
+    if any(type(c) is not int for c in entries):  # bool is an int subclass
+        raise ParamError("composition entries must be integers")
     if any(c < 1 for c in entries):
         raise ParamError("composition entries must be positive")
     if len(set(entries)) != len(entries):

@@ -13,10 +13,11 @@ from __future__ import annotations
 import gzip
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .enumeration import (_check_budget, _run_chunks, sequence_shape, sorting_gf,
                           tangled_report)
+from .formulas import CLOSED_FORM_MAX_N
 from .posets import Poset, _bits, funnel_and_basins, poset_from_json, poset_to_json
 from .promotion import InternalError
 
@@ -197,13 +198,16 @@ def save_catalog(catalog: PosetCatalog, path) -> None:
 
 
 def load_catalog(path) -> PosetCatalog:
+    """Read a :func:`save_catalog` file; a poset over ``CLOSED_FORM_MAX_N``
+    elements is refused (``BudgetError``) before it is built."""
     opener = gzip.open if str(path).endswith(".gz") else open
     entries = []
     with opener(path, "rt", encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
             if line:
-                entries.append(poset_from_json(line))
+                entries.append(poset_from_json(line, lambda n: _check_budget(
+                    n, None, CLOSED_FORM_MAX_N, "catalog poset elements")))
     if not entries:
         raise ValueError(f"catalog file {path} holds no posets")
     sizes = {p.n for p in entries}
@@ -274,7 +278,6 @@ class ScanReport:
     """Aggregate result of sweeping conjecture checks over a catalog."""
 
     scanned: int
-    checks: tuple
     failures: tuple
     non_unimodal: tuple
 
@@ -284,44 +287,37 @@ class ScanReport:
 
 
 def _scan_one(args):
-    """``(report, coeffs)`` for one poset: the report only when a selected
-    check fails, and f only when it is not unimodal; ``None`` otherwise."""
-    p, checks, unimodal, force = args
-    report = coeffs = None
-    if checks and p.n >= 2:
-        report = check_conjectures(p, force=force)
+    """``(report, coeffs)`` for one poset: the report only when a check
+    fails, and f only when it is not unimodal; ``None`` otherwise."""
+    p, unimodal, force = args
+    report = check_conjectures(p, force=force) if p.n >= 2 else None
+    coeffs = None
     if unimodal:
         coeffs = sorting_gf(p, force=force).coeffs
         if report is not None and coeffs[-1] != report.total:
             raise InternalError(f"f counts {coeffs[-1]} tangled labelings, not {report.total}")
         if sequence_shape(coeffs).unimodal:
             coeffs = None
-    if report is not None and not any(check in report.failed for check in checks):
-        report = None
-    return report, coeffs
+    return (report if report and report.failed else None), coeffs
 
 
-def scan_catalog(catalog: PosetCatalog, checks: Sequence[str] = ALL_CHECKS,
-                 unimodal: bool = False, workers: int = 1,
+def scan_catalog(catalog: PosetCatalog, unimodal: bool = False, workers: int = 1,
                  force: bool = False) -> ScanReport:
-    """Run the selected conjecture checks over every catalog entry.
+    """Run every check of ``ALL_CHECKS`` over each catalog entry with n >= 2.
 
-    ``checks`` selects from n-2 (per-element bound plus its equality
-    characterization), hodges ((n-m)(n-2)! aggregate) and n-1 ((n-1)!
-    aggregate).  With ``unimodal=True`` the sorting generating functions are
-    additionally scanned and non-unimodal instances reported; those are
-    informational, not failures.  When both run, f's top coefficient must
-    equal the tangled count, or the two routes disagree: ``InternalError``.
+    n-2 is the per-element bound plus its equality characterization, hodges
+    the (n-m)(n-2)! aggregate and n-1 the (n-1)! aggregate.  Each bound
+    implies the next, so a failing poset always fails n-2; its report's
+    ``failed`` names every bound it breaks.  With ``unimodal=True`` the
+    sorting generating functions are additionally scanned and non-unimodal
+    instances reported; those are informational, not failures.  f's top
+    coefficient must equal the tangled count, or the two routes disagree:
+    ``InternalError``.
     """
-    checks = tuple(checks)
-    for check in checks:
-        if check not in ALL_CHECKS:
-            raise ValueError(f"unknown check {check!r}; pick from {sorted(ALL_CHECKS)}")
-    tasks = [(p, checks, unimodal, force) for p in catalog.entries]
+    tasks = [(p, unimodal, force) for p in catalog.entries]
     results = list(_run_chunks(_scan_one, tasks, workers))
     return ScanReport(
         scanned=len(tasks),
-        checks=checks,
         failures=tuple((idx, report) for idx, (report, _) in enumerate(results)
                        if report is not None),
         non_unimodal=tuple((idx, coeffs) for idx, (_, coeffs) in enumerate(results)

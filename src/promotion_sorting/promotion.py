@@ -316,10 +316,12 @@ def lift_labeling(p: Poset, labels: Sequence[int], indices: Sequence[int]) -> tu
     ``max(indices[-1] - k, order(labels))``.
     """
     labels = validate_labeling(p, labels)
-    indices = tuple(int(i) for i in indices)
+    indices = tuple(indices)
     k = len(indices)
     if k < 1:
         raise RangeError("need at least one new label index")
+    if any(type(i) is not int for i in indices):  # bool is an int subclass
+        raise RangeError(f"indices {reprlib.repr(indices)} must be integers")
     if any(b <= a for a, b in zip(indices, indices[1:])):
         raise RangeError(f"indices {reprlib.repr(indices)} must be strictly increasing")
     if indices[0] < 1 or indices[-1] > p.n + k:

@@ -228,22 +228,50 @@ def test_verify_budget_gate(capsys):
     code, _, err = run(capsys, "verify", "--max-n", "7")
     assert code == 2
     assert "budget" in err
-    code, _, _ = run(capsys, "verify", "--max-n", "3", "--conjecture", "hodges")
+    code, _, _ = run(capsys, "verify", "--max-n", "3")
     assert code == 0
 
 
 def test_verify_counterexample_exit(capsys, monkeypatch):
     from types import SimpleNamespace
 
-    def fake_scan(catalog, checks, unimodal, workers, force):
-        bad = SimpleNamespace(by_element=(9, 9))
+    def fake_scan(catalog, unimodal, workers, force):
+        bad = SimpleNamespace(by_element=(9, 9), failed=("n-2", "n-1"))
         return SimpleNamespace(scanned=len(catalog), failures=((0, bad),),
                                non_unimodal=())
 
     monkeypatch.setattr(cli, "scan_catalog", fake_scan)
     code, out, _ = run(capsys, "verify", "--max-n", "2")
     assert code == 3
-    assert "counterexample: covers=" in out
+    assert "  counterexample: covers=[(0, 1)] counts=[9, 9] failed=n-2,n-1\n" in out
+
+
+@pytest.mark.parametrize("delta, failed", [(7, "n-2,hodges,n-1"), (-1, "n-2")],
+                         ids=["over", "under"])
+def test_verify_names_the_broken_bounds(capsys, monkeypatch, delta, failed):
+    # skew the 4-chain's top count: past (n-1)! every bound breaks, one short
+    # of (n-2)! on a funnel element only the equality rule of n-2 does
+    import promotion_sorting.harness as harness
+    from promotion_sorting import TangleReport
+    from promotion_sorting.harness import canonicalize
+
+    count = harness.tangled_report
+    target = canonicalize(chain(4))
+
+    def skewed(p, **kwargs):
+        by_element = list(count(p, **kwargs).by_element)
+        if canonicalize(p) == target:
+            by_element[-1] += delta
+        return TangleReport(sum(by_element), by_element)
+
+    monkeypatch.setattr(harness, "tangled_report", skewed)
+    code, out, _ = run(capsys, "verify", "--max-n", "4", "--threads", "1")
+    assert code == 3
+    lines = [line for line in out.splitlines() if "counterexample:" in line]
+    assert len(lines) == 1
+    assert lines[0].startswith("  counterexample: covers=")
+    assert lines[0].endswith(f" failed={failed}")
+    assert "n=4: 10 posets, 1 counterexamples" in out
 
 
 def test_export_dot(capsys, tmp_path):
@@ -419,16 +447,6 @@ def test_long_parent_path_with_few_fibers_exits_one(capsys, tmp_path):
     assert (code, out) == (1, "") and "one fiber per forest node" in err
 
 
-def test_verify_choices_are_the_harness_checks():
-    import argparse
-
-    from promotion_sorting.harness import ALL_CHECKS
-
-    verify = next(a for a in cli.build_parser()._actions
-                  if isinstance(a, argparse._SubParsersAction)).choices["verify"]
-    assert verify._option_string_actions["--conjecture"].choices == (*ALL_CHECKS, "all")
-
-
 def test_every_document_command_is_size_gated():
     # a new command that reads a --poset or --spec document must join
     # OVERSIZED, so that it cannot skip the size gate
@@ -491,9 +509,9 @@ def test_error_messages_stay_short(capsys, tmp_path, doc, argv):
 
 
 @pytest.mark.parametrize("argv", [
-    ("verify", "--max-n", "3", "--conjecture", "x" * 100_000),
+    ("verify", "--max-n", "x" * 100_000),
     ("gf", "--poset", "unread.json", "--threads", "9" * 5_000),
-], ids=["conjecture", "threads"])
+], ids=["max-n", "threads"])
 def test_usage_error_messages_stay_short(capsys, argv):
     # argparse quotes the offending value; the usage error abbreviates it
     with pytest.raises(SystemExit) as exc:
@@ -561,6 +579,11 @@ def test_usage_error_exits_one(capsys, lam_file):
         main(["no-such-command"])
     assert exc.value.code == 1
     assert "invalid choice" in capsys.readouterr().err
+    # verify always checks every bound: there is no selector to pass
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--max-n", "3", "--conjecture", "hodges"])
+    assert exc.value.code == 1
+    assert "unrecognized arguments: --conjecture hodges" in capsys.readouterr().err
 
 
 # -- fuzz: any JSON document ends in an exit code, never a traceback ---------------

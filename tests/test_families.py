@@ -35,47 +35,61 @@ def iso(p, q):
 
 
 def test_shoelace_two_chain():
-    p = build_shoelace(ShoelaceSpec(1, 1, frozenset({(1, 1)}), {}))
+    p = build_shoelace(ShoelaceSpec(1, 1, {(1, 1): 0}))
     assert iso(p, chain(2))
 
 
 def test_shoelace_w_shaped():
     # every interior chain one element long gives W(2,1,1,2), not W(1,1,1,1):
     # the alpha and delta branches carry their maximal as the top chain node
-    all1 = build_shoelace(ShoelaceSpec(2, 3, W_PAIRS, {p: 1 for p in W_PAIRS}))
+    all1 = build_shoelace(ShoelaceSpec(2, 3, {p: 1 for p in W_PAIRS}))
     assert all1.n == 9
     assert iso(all1, build_w_poset(WParams(2, 1, 1, 2)))
-    w1111 = build_shoelace(ShoelaceSpec(2, 3, W_PAIRS, {(1, 2): 1, (2, 2): 1}))
+    w1111 = build_shoelace(ShoelaceSpec(2, 3, {(1, 1): 0, (1, 2): 1, (2, 2): 1, (2, 3): 0}))
     assert w1111.n == 7
     assert iso(w1111, build_w_poset(WParams(1, 1, 1, 1)))
 
 
+FIGURE_CHAINS = {(3, 4): 2, (1, 2): 1, (2, 1): 1, (2, 3): 1, (3, 3): 1, (1, 4): 1, (1, 3): 0}
+
+
 def test_shoelace_figure():
     # 3 minimals, 4 maximals, 7 laces; C_3^4 has two interior elements
-    pairs = frozenset({(1, 2), (1, 3), (1, 4), (2, 1), (2, 3), (3, 3), (3, 4)})
-    lengths = {(3, 4): 2, (1, 2): 1, (2, 1): 1, (2, 3): 1, (3, 3): 1, (1, 4): 1}
-    p = build_shoelace(ShoelaceSpec(3, 4, pairs, lengths))
-    assert p.n == 3 + 4 + sum(lengths.values())
+    p = build_shoelace(ShoelaceSpec(3, 4, FIGURE_CHAINS))
+    assert p.n == 3 + 4 + sum(FIGURE_CHAINS.values())
     assert p.minimals == (0, 1, 2)
     assert p.maximals == (3, 4, 5, 6)
     assert p.is_connected()
     assert p.names[0] == "x1" and p.names[3] == "y1"
 
 
+def test_shoelace_figure_layout():
+    # laces in sorted pair order, each chain bottom to top, whatever order
+    # the map lists them in
+    p = build_shoelace(ShoelaceSpec(3, 4, FIGURE_CHAINS))
+    assert p.covers == ((0, 5), (0, 7), (0, 8), (1, 9), (1, 10), (2, 11), (2, 12),
+                        (7, 4), (8, 6), (9, 3), (10, 5), (11, 5), (12, 13), (13, 6))
+    assert p.names == ("x1", "x2", "x3", "y1", "y2", "y3", "y4", "c1.2.1", "c1.4.1",
+                       "c2.1.1", "c2.3.1", "c3.3.1", "c3.4.1", "c3.4.2")
+    assert build_shoelace(ShoelaceSpec(3, 4, dict(sorted(FIGURE_CHAINS.items())))) == p
+
+
 def test_shoelace_validation():
     with pytest.raises(SpecError):
-        build_shoelace(ShoelaceSpec(0, 1, frozenset(), {}))
+        build_shoelace(ShoelaceSpec(0, 1, {}))
     with pytest.raises(SpecError):  # pair out of range
-        build_shoelace(ShoelaceSpec(1, 1, frozenset({(1, 2)}), {}))
+        build_shoelace(ShoelaceSpec(1, 1, {(1, 2): 0}))
     with pytest.raises(SpecError):  # negative chain length
-        build_shoelace(ShoelaceSpec(1, 1, frozenset({(1, 1)}), {(1, 1): -1}))
+        build_shoelace(ShoelaceSpec(1, 1, {(1, 1): -1}))
+    # keys must be pairs of ints and lengths ints: floats and bools are refused
+    for chains in ({(1, 1): 1.5}, {(1, 1): 1.0}, {(1, 1): True}, {(1.0, 1): 0},
+                   {(1, True): 0}, {(1,): 0}, {(1, 1, 1): 0}, {"ab": 0}):
+        with pytest.raises(SpecError):
+            build_shoelace(ShoelaceSpec(1, 1, chains))
     with pytest.raises(DisconnectedError):
-        build_shoelace(ShoelaceSpec(2, 2, frozenset({(1, 1), (2, 2)}), {}))
-
-
-def test_shoelace_length_of_defaults_zero():
-    spec = ShoelaceSpec(1, 1, frozenset({(1, 1)}), {})
-    assert spec.length_of((1, 1)) == 0
+        build_shoelace(ShoelaceSpec(2, 2, {(1, 1): 0, (2, 2): 0}))
+    with pytest.raises(DisconnectedError):  # no laces at all
+        build_shoelace(ShoelaceSpec(1, 1, {}))
 
 
 def test_w_poset_shape():
@@ -114,11 +128,10 @@ def test_w_poset_covers_are_its_four_chains():
 
 
 def test_w_as_shoelace_lengths():
-    spec = w_as_shoelace(WParams(1, 1, 1, 1))
-    assert spec.length_of((1, 1)) == 0
-    assert spec.length_of((1, 2)) == 1
-    assert spec.length_of((2, 2)) == 1
-    assert spec.length_of((2, 3)) == 0
+    assert w_as_shoelace(WParams(1, 1, 1, 1)).chains == {(1, 1): 0, (1, 2): 1, (2, 2): 1,
+                                                         (2, 3): 0}
+    assert w_as_shoelace(WParams(3, 1, 2, 4)).chains == {(1, 1): 2, (1, 2): 1, (2, 2): 2,
+                                                         (2, 3): 3}
     with pytest.raises(SpecError):
         w_as_shoelace(WParams(0, 1, 1, 1))
 

@@ -80,6 +80,13 @@ def test_attach_validation():
         attach_antichain((), 1)
 
 
+def test_attach_refuses_non_integer_coefficients():
+    # floats and bools are refused, not truncated to integers
+    for coeffs in ((2.9, 4.1, 0), (2.0, 4, 0), (True, True)):
+        with pytest.raises(ParamError, match="integers"):
+            attach_antichain(coeffs, 1)
+
+
 def test_composition_matrices_small():
     m = composition_matrices(3, 1)
     assert m.x == ((1, 0, 0), (1, 2, 0), (1, 1, 3))
@@ -332,6 +339,13 @@ def test_ordinal_sum_g_validation():
         ordinal_sum_antichains_g((2, 0, 1))
 
 
+def test_ordinal_sum_g_refuses_non_integer_sizes():
+    # floats and bools are refused, not truncated to integers
+    for sizes in ((1.5, 2), (1.0, 2), (True, 2)):
+        with pytest.raises(ParamError):
+            ordinal_sum_antichains_g(sizes)
+
+
 # -- brooms ----------------------------------------------------------------------------
 
 def test_broom_values():
@@ -447,6 +461,13 @@ def test_weak_order_family_validation():
         weak_order_family((1, 2, 3, 4, 5, 6, 7))
     with pytest.raises(BudgetError):
         weak_order_family((1, 2, 3, 4, 5, 6, 7, 8))
+
+
+def test_weak_order_family_refuses_non_integer_entries():
+    # floats and bools are refused, not truncated to integers
+    for composition in ((1.2, 2.7), (1.0, 2), (True, 2)):
+        with pytest.raises(ParamError, match="integers"):
+            weak_order_family(composition)
 
 
 def reference_hasse(vectors):

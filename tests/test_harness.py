@@ -24,6 +24,7 @@ from promotion_sorting import (
     generate_posets,
     load_catalog,
     ordinal_sum,
+    poset_to_json,
     save_catalog,
     scan_catalog,
 )
@@ -219,12 +220,41 @@ def test_catalog_load_validation(tmp_path):
     empty.write_text("\n")
     with pytest.raises(ValueError):
         load_catalog(empty)
-    from promotion_sorting import poset_to_json
-
     mixed = tmp_path / "mixed.ndjson"
     mixed.write_text(poset_to_json(chain(2)) + "\n" + poset_to_json(chain(3)) + "\n")
     with pytest.raises(ValueError):
         load_catalog(mixed)
+
+
+def test_catalog_load_is_size_gated(tmp_path):
+    # the 400-element cap of order, promote and export-dot, with no override
+    path = tmp_path / "wide.ndjson"
+    path.write_text('{"n": 401, "covers": []}\n')
+    with pytest.raises(BudgetError,
+                       match="catalog poset elements of 401 exceeds the budget of 400"):
+        load_catalog(path)
+    path.write_text(poset_to_json(antichain(400)) + "\n")
+    assert load_catalog(path).n == 400
+
+
+def test_catalog_load_refuses_before_building(tmp_path):
+    # a one-line document declaring a huge n is refused before anything of
+    # size n is allocated
+    import time
+    import tracemalloc
+
+    path = tmp_path / "huge.ndjson"
+    path.write_text('{"n": 1000000, "covers": []}\n')
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(BudgetError):
+            load_catalog(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 1
+    assert peak < 5 * 2**20
 
 
 def test_check_conjectures_lambda():
@@ -266,7 +296,6 @@ def test_scan_small_catalogs_clean():
         cat = generate_posets(n)
         report = scan_catalog(cat)
         assert report.scanned == ISO_CLASS_COUNTS[n]
-        assert report.checks == ("n-2", "hodges", "n-1")
         assert report.failures == ()
         assert report.passed
 
@@ -281,7 +310,7 @@ def test_scan_worker_determinism():
 
 def test_scan_finds_non_unimodal_at_six():
     cat = generate_posets(6, connected=True)
-    report = scan_catalog(cat, checks=(), unimodal=True)
+    report = scan_catalog(cat, unimodal=True)
     assert report.failures == ()
     assert len(report.non_unimodal) == 8
     t222 = canonicalize(ordinal_sum(antichain(2), ordinal_sum(antichain(2), antichain(2))))
@@ -292,7 +321,7 @@ def test_scan_finds_non_unimodal_at_six():
 
         assert not sequence_shape(coeffs).unimodal
     # the full catalog picks up two more disconnected or wider instances
-    assert len(scan_catalog(generate_posets(6), checks=(), unimodal=True).non_unimodal) == 10
+    assert len(scan_catalog(generate_posets(6), unimodal=True).non_unimodal) == 10
 
 
 def test_unimodal_scan_checks_the_two_routes_agree(monkeypatch):
@@ -312,12 +341,6 @@ def test_unimodal_scan_checks_the_two_routes_agree(monkeypatch):
     with pytest.raises(InternalError, match="tangled"):
         scan_catalog(cat, unimodal=True)
     scan_catalog(cat)
-
-
-def test_scan_rejects_unknown_check():
-    cat = generate_posets(3)
-    with pytest.raises(ValueError):
-        scan_catalog(cat, checks=("n-3",))
 
 
 def test_scan_reports_only_the_failing_poset(monkeypatch):
@@ -350,4 +373,3 @@ def test_scan_reports_only_the_failing_poset(monkeypatch):
     for workers in (1, 2):
         report = scan_catalog(cat, workers=workers)
         assert [(i, r.failed) for i, r in report.failures] == [(idx, ("n-2",))]
-    assert scan_catalog(cat, checks=("hodges",)).failures == ()

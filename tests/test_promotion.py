@@ -176,6 +176,13 @@ def test_lift_validates_indices():
         lift_labeling(chain(2), (1, 2), (4,))  # above n + k
 
 
+def test_lift_refuses_non_integer_indices():
+    # floats and bools are refused, not truncated to integers
+    for indices in ((1.9,), (1.0,), (True,), (1, 2.5)):
+        with pytest.raises(RangeError, match="integers"):
+            lift_labeling(chain(3), (1, 2, 3), indices)
+
+
 def test_validate_labeling():
     assert validate_labeling(LAMBDA, [2, 3, 1]) == (2, 3, 1)
     for bad in ([1, 2], [1, 1, 2], [0, 1, 2], [1, 2, 4], [2.0, 3, 1], [2, 3, True]):
