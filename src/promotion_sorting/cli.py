@@ -45,7 +45,7 @@ def _add_poset_arg(cmd):
                      help="poset JSON file ({\"n\": .., \"covers\": [[i, j], ..]})")
 
 
-def _add_threads_arg(cmd):
+def _add_pool_args(cmd):
     def worker_count(text: str) -> int:
         count = int(text)
         if count < 1:
@@ -54,6 +54,7 @@ def _add_threads_arg(cmd):
 
     cmd.add_argument("--threads", type=worker_count, default=os.cpu_count() or 1, metavar="N",
                      help="worker processes (default: machine parallelism)")
+    cmd.add_argument("--force", action="store_true", help="override the size budget")
 
 
 def _load_labeled(args, extra: int = 0) -> tuple[Poset, Optional[tuple[int, ...]]]:
@@ -306,8 +307,7 @@ def build_parser() -> _Parser:
 
     cmd = sub.add_parser("gf", help="sorting and cumulative generating functions")
     _add_poset_arg(cmd)
-    _add_threads_arg(cmd)
-    cmd.add_argument("--force", action="store_true", help="override the size budget")
+    _add_pool_args(cmd)
     cmd.add_argument("--json", action="store_true", help="machine-readable output")
     cmd.set_defaults(func=_cmd_gf)
 
@@ -315,8 +315,7 @@ def build_parser() -> _Parser:
     _add_poset_arg(cmd)
     cmd.add_argument("--by-element", action="store_true",
                      help="split by the element holding label n-1")
-    _add_threads_arg(cmd)
-    cmd.add_argument("--force", action="store_true", help="override the size budget")
+    _add_pool_args(cmd)
     cmd.add_argument("--json", action="store_true")
     cmd.set_defaults(func=_cmd_tangled)
 
@@ -340,8 +339,7 @@ def build_parser() -> _Parser:
         cmd.add_argument(f"--{arm}", type=int, required=True)
     cmd.add_argument("--enumerate", action="store_true",
                      help="cross-check against brute-force enumeration")
-    _add_threads_arg(cmd)
-    cmd.add_argument("--force", action="store_true", help="override the size budget")
+    _add_pool_args(cmd)
     cmd.set_defaults(func=_cmd_wposet)
 
     cmd = sub.add_parser("attach", help="hang a k-antichain under a generating function")
@@ -375,8 +373,7 @@ def build_parser() -> _Parser:
     cmd.add_argument("--n", type=int, required=True)
     cmd.add_argument("--connected", action="store_true")
     cmd.add_argument("--out", metavar="FILE", help="write newline-delimited JSON here")
-    _add_threads_arg(cmd)
-    cmd.add_argument("--force", action="store_true", help="override the size budget")
+    _add_pool_args(cmd)
     cmd.set_defaults(func=_cmd_gen_posets)
 
     cmd = sub.add_parser("verify", help="sweep conjecture checks over catalogs")
@@ -385,8 +382,7 @@ def build_parser() -> _Parser:
                      help="also flag non-unimodal sorting gfs")
     cmd.add_argument("--all-posets", action="store_true",
                      help="include disconnected posets")
-    _add_threads_arg(cmd)
-    cmd.add_argument("--force", action="store_true", help="override the size budget")
+    _add_pool_args(cmd)
     cmd.set_defaults(func=_cmd_verify)
 
     cmd = sub.add_parser("export-dot", help="Graphviz text of the Hasse diagram")

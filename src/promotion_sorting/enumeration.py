@@ -75,12 +75,12 @@ def _check_budget(n: int, force: Optional[bool], cap: int = DEFAULT_MAX_N,
 
 @dataclass(frozen=True)
 class GenFun:
-    """Exact integer coefficient vector; index i is the coefficient of q^i."""
+    """Coefficient vector, stored as given; index i is the coefficient of q^i."""
 
     coeffs: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(int(c) for c in self.coeffs))
+        object.__setattr__(self, "coeffs", tuple(self.coeffs))
 
     def cumulative(self) -> "GenFun":
         """Prefix sums: the count of labelings sorted within i steps."""
@@ -109,7 +109,7 @@ class SequenceShape:
 
 def sequence_shape(values: Sequence[int]) -> SequenceShape:
     """Exact unimodality and log-concavity flags for an integer sequence."""
-    v = [int(x) for x in values]
+    v = list(values)
     i = 0
     while i + 1 < len(v) and v[i] <= v[i + 1]:
         i += 1
@@ -198,15 +198,13 @@ def cumulative_gf(p: Poset, workers: int = 1, force: bool = False) -> GenFun:
 
 @dataclass(frozen=True)
 class TangleReport:
-    """Tangled labeling counts, split by the element holding label n - 1."""
+    """Tangled labeling counts split by the element holding label n - 1; ``total`` sums them."""
 
-    total: int
     by_element: tuple
 
-    def __post_init__(self):
-        object.__setattr__(self, "by_element", tuple(int(c) for c in self.by_element))
-        if self.total != sum(self.by_element):
-            raise ValueError("total does not match the by-element split")
+    @property
+    def total(self) -> int:
+        return sum(self.by_element)
 
 
 def _tangled_task(args) -> list[int]:
@@ -236,4 +234,4 @@ def tangled_report(p: Poset, workers: int = 1, force: bool = False) -> TangleRep
     _check_budget(p.n, force)
     pairs = [(r, b) for b in basins(p) for r in _bits(p.above[b])]
     by_element = _histogram(p, _tangled_task, pairs, workers)
-    return TangleReport(sum(by_element), by_element)
+    return TangleReport(tuple(by_element))

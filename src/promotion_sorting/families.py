@@ -17,7 +17,7 @@ import reprlib
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional
 
-from .posets import DisconnectedError, Poset, SpecError, poset_from_doc
+from .posets import DisconnectedError, Poset, SpecError, _check_ints, poset_from_doc
 
 
 class FiberError(ValueError):
@@ -55,10 +55,9 @@ def build_shoelace(spec: ShoelaceSpec) -> Poset:
     not connected.
     """
     l, m = spec.minimals, spec.maximals
+    _check_ints(SpecError, minimals=l, maximals=m)
     if l < 1 or m < 1:
         raise SpecError("a shoelace needs at least one minimal and one maximal element")
-    if not spec.chains:
-        raise DisconnectedError("a shoelace with no comparable pairs is disconnected")
     for pair, length in spec.chains.items():
         if not (isinstance(pair, tuple) and len(pair) == 2 and all(type(v) is int for v in pair)
                 and 1 <= pair[0] <= l and 1 <= pair[1] <= m):
@@ -108,6 +107,7 @@ def build_w_poset(params: WParams) -> Poset:
     x, the a-chain, the b-chain, y, z, the c-chain, the d-chain.
     """
     a, b, c, d = params.a, params.b, params.c, params.d
+    _check_ints(SpecError, a=a, b=b, c=c, d=d)
     if min(a, b, c, d) < 0:
         raise SpecError("W-poset arm lengths must be nonnegative")
     names = (["x"]
@@ -133,6 +133,7 @@ def w_as_shoelace(params: WParams) -> ShoelaceSpec:
     Zero arms collapse a maximal element, so all four lengths must be positive.
     """
     a, b, c, d = params.a, params.b, params.c, params.d
+    _check_ints(SpecError, a=a, b=b, c=c, d=d)
     if min(a, b, c, d) < 1:
         raise SpecError("the shoelace view of W needs positive arm lengths")
     return ShoelaceSpec(minimals=2, maximals=3,

@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 
 from .enumeration import GenFun, _check_budget
 from .families import InflationSpec, build_inflation
-from .posets import Poset
+from .posets import Poset, _check_ints
 from .promotion import InternalError
 
 
@@ -130,6 +130,7 @@ def _multinomial(i: int, j: int, t: int) -> int:
 
 def w_poset_tangled(a: int, b: int, c: int, d: int) -> int:
     """Exact number of tangled labelings of the W-poset W(a, b, c, d)."""
+    _check_ints(ParamError, a=a, b=b, c=c, d=d)
     if min(a, b, c, d) < 1:
         raise ParamError("W-poset arm lengths must all be at least 1")
     n = a + b + c + d + 3
@@ -159,6 +160,7 @@ class CompositionMatrices:
 
 
 def composition_matrices(n: int, k: int) -> CompositionMatrices:
+    _check_ints(ParamError, n=n, k=k)
     if n < 1 or k < 1:
         raise ParamError("need n >= 1 and k >= 1")
     kf = factorial(k)
@@ -189,6 +191,7 @@ def attach_antichain(gf, k: int, mode: str = "sorting") -> GenFun:
     n = len(coeffs)
     if n < 1:
         raise ParamError("the input vector must be nonempty")
+    _check_ints(ParamError, k=k)
     if k < 1:
         raise ParamError("the antichain size k must be at least 1")
     _check_budget(n + k, None, CLOSED_FORM_MAX_N, "attached antichain poset elements")
@@ -238,6 +241,7 @@ class PedestalTails:
 
 
 def pedestal_coeffs(n: int, l: int) -> PedestalTails:
+    _check_ints(ParamError, n=n, l=l)
     if n < 1 or l < 1:
         raise ParamError("need a base size n >= 1 and a chain length l >= 1")
     _check_budget(n + l, None, CLOSED_FORM_MAX_N, "pedestal poset elements")
@@ -290,6 +294,7 @@ def broom_f(n: int, k: int) -> GenFun:
     s <= k + 1 and 0 beyond, with 0^positive = 0 killing the second term at
     s = 0.  Satisfies the symmetry a_k(n, k) = a_n(k, n) for n <= k.
     """
+    _check_ints(ParamError, n=n, k=k)
     if n < 0 or k < 0:
         raise ParamError("need n >= 0 and k >= 0")
     size = n + k + 1

@@ -30,6 +30,12 @@ ALL_CHECKS = ("n-2", "hodges", "n-1")
 
 # -- canonical forms -----------------------------------------------------------
 
+def _rank(values: list) -> list[int]:
+    """Each value's index among the sorted distinct values."""
+    ranks = {v: i for i, v in enumerate(sorted(set(values)))}
+    return [ranks[v] for v in values]
+
+
 def _refined_classes(p: Poset) -> list[int]:
     """Stable invariant class per element, identical across isomorphic posets."""
     n = p.n
@@ -38,22 +44,18 @@ def _refined_classes(p: Poset) -> list[int]:
     for a, b in p.covers:
         cover_up[a].append(b)
         cover_down[b].append(a)
-    inv = [
+    classes = _rank([
         (p.below[x].bit_count(), p.above[x].bit_count(), p.heights[x],
          len(cover_up[x]), len(cover_down[x]))
         for x in range(n)
-    ]
-    ranks = {v: i for i, v in enumerate(sorted(set(inv)))}
-    classes = [ranks[v] for v in inv]
+    ])
     while True:
-        sig = [
+        new = _rank([
             (classes[x],
              tuple(sorted(classes[y] for y in cover_up[x])),
              tuple(sorted(classes[y] for y in cover_down[x])))
             for x in range(n)
-        ]
-        ranks = {v: i for i, v in enumerate(sorted(set(sig)))}
-        new = [ranks[sig[x]] for x in range(n)]
+        ])
         if new == classes:
             return classes
         classes = new
@@ -71,40 +73,29 @@ def canonicalize(p: Poset, force: bool = False) -> bytes:
     above, below = p.above, p.below
 
     def search(placed: list[int], used: int) -> tuple:
-        depth = len(placed)
-        if depth == n:
+        if len(placed) == n:
             return ()
-        cls = blocks[depth]
-        best_sig = None
+        best = None
         chosen: list[int] = []
-        # Elements with equal strict up- and down-sets are incomparable twins:
-        # swapping two is an automorphism, so one branch per twin set suffices.
-        seen_twins = set()
-        for e in members[cls]:
-            if used >> e & 1:
+        # Elements with equal strict up- and down-sets are incomparable twins
+        # with equal signatures: swapping two is an automorphism, so only the
+        # first free member of each twin set is tried.
+        twins = set()
+        for e in members[blocks[len(placed)]]:
+            twin = (above[e], below[e])
+            if used >> e & 1 or twin in twins:
                 continue
+            twins.add(twin)
             sig = tuple(
                 2 if below[e] >> q & 1 else (1 if above[e] >> q & 1 else 0)
                 for q in placed)
-            twin = (above[e], below[e])
-            if best_sig is None or sig < best_sig:
-                best_sig = sig
-                chosen = [e]
-                seen_twins = {twin}
-            elif sig == best_sig and twin not in seen_twins:
+            if best is None or sig < best:
+                best, chosen = sig, [e]
+            elif sig == best:
                 chosen.append(e)
-                seen_twins.add(twin)
-        best_tail = None
-        for e in chosen:
-            placed.append(e)
-            tail = best_sig + search(placed, used | (1 << e))
-            placed.pop()
-            if best_tail is None or tail < best_tail:
-                best_tail = tail
-        return best_tail
+        return best + min(search([*placed, e], used | 1 << e) for e in chosen)
 
-    digits = search([], 0)
-    return f"{n}:".encode() + bytes(digits)
+    return f"{n}:".encode() + bytes(search([], 0))
 
 
 # -- isomorphism-free generation -------------------------------------------------
@@ -246,8 +237,6 @@ class ConjectureReport:
 
 def check_conjectures(p: Poset, force: bool = False) -> ConjectureReport:
     """Exhaustively test the tangled-count bounds on one poset (n >= 2)."""
-    if p.n < 2:
-        raise ValueError("conjecture checks need at least two elements")
     report = tangled_report(p, force=force)
     n = p.n
     m = len(p.minimals)

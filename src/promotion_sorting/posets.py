@@ -28,6 +28,18 @@ class SpecError(ValueError):
     """A poset-family specification is malformed."""
 
 
+def _check_ints(error: type, **params) -> None:
+    """Raise ``error`` for the first parameter that is not an ``int``; a ``bool`` is not one."""
+    for name, value in params.items():
+        if type(value) is not int:
+            raise error(f"{name} must be an integer, got {reprlib.repr(value)}")
+
+
+def _check_size(n) -> None:
+    if type(n) is not int or n < 1:  # bool is an int subclass
+        raise ValueError(f"poset size must be a positive integer, got {reprlib.repr(n)}")
+
+
 def _validate_covers(n: int, covers: Iterable[Sequence[int]]) -> list[tuple[int, int]]:
     pairs = []
     for pair in covers:
@@ -98,8 +110,7 @@ class Poset:
 
     def __init__(self, n: int, covers: Iterable[Sequence[int]] = (),
                  names: Optional[Sequence[str]] = None):
-        if type(n) is not int or n < 1:  # bool is an int subclass
-            raise ValueError(f"poset size must be a positive integer, got {reprlib.repr(n)}")
+        _check_size(n)
         pairs = _validate_covers(n, covers)
         above, below, heights, covers = _closure_from_pairs(n, pairs)
         self.n = n
@@ -134,8 +145,6 @@ class Poset:
 
     def is_connected(self) -> bool:
         """Whether the Hasse diagram is a connected graph."""
-        if self.n == 1:
-            return True
         seen = 1
         frontier = [0]
         adj = [self.above[x] | self.below[x] for x in range(self.n)]
@@ -184,6 +193,7 @@ def _bits(mask: int):
 
 def chain(n: int) -> Poset:
     """The n-element chain 0 < 1 < ... < n-1."""
+    _check_size(n)
     return Poset(n, [(i, i + 1) for i in range(n - 1)])
 
 

@@ -52,6 +52,13 @@ def test_promote_multiple_steps(capsys, lam_file):
     assert all("chain=" in line for line in lines)
 
 
+def test_promote_needs_a_step(capsys, lam_file):
+    code, out, err = run(capsys, "promote", "--poset", lam_file,
+                         "--labeling", "2,3,1", "--steps", "0")
+    assert (code, out) == (1, "")
+    assert "--steps must be at least 1" in err
+
+
 def test_order(capsys, lam_file):
     code, out, _ = run(capsys, "order", "--poset", lam_file, "--labeling", "3,1,2")
     assert (code, out.strip()) == (0, "1")
@@ -178,6 +185,12 @@ def test_weak_order(capsys):
     assert "composition entries of 7 exceeds the budget of 6" in err
 
 
+def test_weak_order_without_extra_covers(capsys):
+    code, out, _ = run(capsys, "weak-order", "--composition", "1,2")
+    assert code == 0
+    assert "extra dominance covers: none" in out.splitlines()
+
+
 def test_gen_posets_stdout_and_file(capsys, tmp_path):
     code, out, err = run(capsys, "gen-posets", "--n", "3")
     assert code == 0
@@ -262,7 +275,7 @@ def test_verify_names_the_broken_bounds(capsys, monkeypatch, delta, failed):
         by_element = list(count(p, **kwargs).by_element)
         if canonicalize(p) == target:
             by_element[-1] += delta
-        return TangleReport(sum(by_element), by_element)
+        return TangleReport(tuple(by_element))
 
     monkeypatch.setattr(harness, "tangled_report", skewed)
     code, out, _ = run(capsys, "verify", "--max-n", "4", "--threads", "1")

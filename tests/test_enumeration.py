@@ -76,6 +76,18 @@ def test_genfun_str_and_trim():
     assert len(f) == 3
 
 
+def test_genfun_stores_coefficients_as_given():
+    assert GenFun([2.9, 4, 0]).coeffs == (2.9, 4, 0)
+
+
+def test_tangle_report_total_is_the_sum_of_its_split():
+    from promotion_sorting import TangleReport
+
+    assert TangleReport((1, 2)).total == 3
+    report = tangled_report(chain(4))
+    assert report.total == sum(report.by_element) == sorting_gf(chain(4)).coeffs[-1]
+
+
 def test_gf_against_direct_count():
     from promotion_sorting import order
 

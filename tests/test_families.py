@@ -92,6 +92,30 @@ def test_shoelace_validation():
         build_shoelace(ShoelaceSpec(1, 1, {}))
 
 
+NON_INT_FIELDS = [
+    (build_shoelace, ShoelaceSpec(1.5, 1, {(1, 1): 0})),
+    (build_shoelace, ShoelaceSpec(True, 1, {(1, 1): 0})),
+    (build_shoelace, ShoelaceSpec(1, 1.0, {(1, 1): 0})),
+    (build_w_poset, WParams(1.5, 1, 1, 1)),
+    (build_w_poset, WParams(True, 1, 1, 1)),
+    (w_as_shoelace, WParams(1, 1, True, 1)),
+]
+
+
+@pytest.mark.parametrize("build, spec", NON_INT_FIELDS,
+                         ids=[f"{build.__name__}-{spec}" for build, spec in NON_INT_FIELDS])
+def test_scalar_fields_must_be_ints(build, spec):
+    # a float is refused rather than failing inside range, and a bool, an
+    # int subclass, is refused rather than built as 0 or 1
+    with pytest.raises(SpecError, match="must be an integer"):
+        build(spec)
+
+
+def test_w_poset_refuses_a_negative_arm():
+    with pytest.raises(SpecError, match="nonnegative"):
+        build_w_poset(WParams(-1, 1, 1, 1))
+
+
 def test_w_poset_shape():
     w = build_w_poset(WParams(2, 2, 1, 1))
     assert w.n == 9
@@ -189,6 +213,11 @@ def test_inflation_rejects_bad_forest():
         InflationSpec((1, 0), (LAMBDA, LAMBDA))
     with pytest.raises(SpecError, match="not a Poset"):
         InflationSpec((None,), ("fiber",))
+
+
+def test_inflation_refuses_an_empty_forest():
+    with pytest.raises(ForestError, match="at least one node"):
+        InflationSpec((), ())
 
 
 def test_forest_validation_walks_each_node_once():

@@ -9,6 +9,7 @@ import pytest
 from promotion_sorting import (
     BudgetError,
     DistinctnessError,
+    GenFun,
     InflationSpec,
     ModeError,
     ParamError,
@@ -85,6 +86,34 @@ def test_attach_refuses_non_integer_coefficients():
     for coeffs in ((2.9, 4.1, 0), (2.0, 4, 0), (True, True)):
         with pytest.raises(ParamError, match="integers"):
             attach_antichain(coeffs, 1)
+
+
+def test_attach_refuses_a_genfun_of_floats():
+    # GenFun stores its coefficients as given, so nothing truncates them first
+    with pytest.raises(ParamError, match="integers"):
+        attach_antichain(GenFun((2.9, 4.1, 0)), 1)
+
+
+NON_INT_SCALARS = [
+    (attach_antichain, ((2, 4, 0), 1.5)),
+    (attach_antichain, ((2, 4, 0), True)),
+    (broom_f, (1.5, 1)),
+    (broom_f, (True, 1)),
+    (pedestal_coeffs, (2.5, 1)),
+    (pedestal_coeffs, (True, 2)),
+    (composition_matrices, (2.5, 1)),
+    (w_poset_tangled, (1.5, 1, 1, 1)),
+    (w_poset_tangled, (True, 1, 1, 1)),
+]
+
+
+@pytest.mark.parametrize("func, args", NON_INT_SCALARS,
+                         ids=[f"{func.__name__}{args}" for func, args in NON_INT_SCALARS])
+def test_scalar_parameters_must_be_ints(func, args):
+    # a float is refused rather than failing inside range or factorial, and a
+    # bool, an int subclass, is refused rather than run as 0 or 1
+    with pytest.raises(ParamError, match="must be an integer"):
+        func(*args)
 
 
 def test_composition_matrices_small():

@@ -49,6 +49,15 @@ def test_single_element():
     assert p.is_connected()
 
 
+@pytest.mark.parametrize("build, n", [(chain, 2.0), (chain, "3"), (chain, True), (chain, 0),
+                                      (antichain, 2.0), (Poset, 2.0)],
+                         ids=lambda v: getattr(v, "__name__", repr(v)))
+def test_size_must_be_a_positive_int(build, n):
+    # chain refuses a float itself, before it ranges over n
+    with pytest.raises(ValueError, match="poset size must be a positive integer"):
+        build(n)
+
+
 def test_transitive_reduction():
     p = Poset(3, [(0, 1), (1, 2), (0, 2)])
     assert p.covers == ((0, 1), (1, 2))
@@ -100,6 +109,12 @@ def test_ordinal_sum_chain():
     assert t222.n == 6
     assert len(t222.covers) == 8
     assert t222.heights == (0, 0, 1, 1, 2, 2)
+
+
+def test_ordinal_sum_concatenates_names():
+    p = ordinal_sum(Poset(1, names=["a"]), Poset(2, [(0, 1)], names=["b", "c"]))
+    assert p.names == ("a", "b", "c")
+    assert ordinal_sum(Poset(1, names=["a"]), chain(2)).names is None
 
 
 def test_disjoint_union():
@@ -192,6 +207,11 @@ def brute_loi(p, x):
 def test_loi_matches_definition(p):
     for x in range(p.n):
         assert is_loi_complete(p, x) == brute_loi(p, x)
+
+
+def test_loi_refuses_an_element_out_of_range():
+    with pytest.raises(IndexError):
+        is_loi_complete(LAMBDA, LAMBDA.n)
 
 
 def test_minimal_elements_loi_complete():

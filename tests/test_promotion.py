@@ -176,6 +176,11 @@ def test_lift_validates_indices():
         lift_labeling(chain(2), (1, 2), (4,))  # above n + k
 
 
+def test_lift_needs_at_least_one_index():
+    with pytest.raises(RangeError):
+        lift_labeling(chain(2), (1, 2), ())
+
+
 def test_lift_refuses_non_integer_indices():
     # floats and bools are refused, not truncated to integers
     for indices in ((1.9,), (1.0,), (True,), (1, 2.5)):
