@@ -2,11 +2,11 @@
 
 Work is cut into tasks by fixed tails of the position array: a task pins
 the elements holding the top labels.  ``sorting_gf`` has one task per root
-tail (below), and ``tangled_report`` one per (basin, element above it)
-pair, the search block of the tangled-chain lemma below.  The task list
-depends only on the poset, never on the worker count, which only sets how
-many processes share it (at most one per task); results merge by plain
-addition.  Everything here is exact integer arithmetic.
+tail (below), and ``tangled_report`` one per (basin b, element above b
+outside its funnel) pair, a search block of the tangled-chain lemma below.
+The task list depends only on the poset, never on the worker count, which
+only sets how many processes share it (at most one per task); results
+merge by plain addition.  Everything here is exact integer arithmetic.
 
 The sorting generating function is read off the inverse-promotion forest.
 Promotion maps the n! labelings to themselves, and it permutes the natural
@@ -29,12 +29,19 @@ c_k holding label n - k - 1 satisfies c_{k+1} <= c_k.  (No walk enters the
 minimal b before step n - 1, so b holds label n - k after k steps; c_k
 either keeps its label or is walked, which hands the label to the chain
 element just below it.)  Tangled means c_{n-2} > b, which holds exactly
-when c_k > b for every k.  So only labelings with label n - 1 strictly
-above b can be tangled (k = 0), and each one stops promoting at the first
-c_k that is not above b.  The visited space is the (basin b, element r
-above b) pairs times the (n-2)! arrangements of the other labels, that is
-sum over basins b of |up(b)| (n-2)! labelings instead of
-|basins| (n-1)!.
+when c_k > b for every k.  So only labelings with label n - 1 on an element
+r strictly above b can be tangled (k = 0), and each one stops promoting at
+the first c_k that is not above b.  Each (r, b) pair is a search block of
+the (n-2)! arrangements of the other labels.
+
+A funnel block, r in b's funnel, is all tangled and is counted, not
+enumerated: every c_k <= c_0 = r, c_k != b since b holds label n - k, and
+every element <= r other than b lies above b, b being the only minimal
+element below r.  An element of b's funnel lies above no other basin, so
+each element's count is either this (n-2)! credit or its enumerated blocks.
+Only the blocks with r outside b's funnel are visited: the paper's equality
+"funnel => (n-2)!" follows from the lemma, and enumeration tests the
+per-element bound and the strict inequality off the funnels.
 
 ``_check_budget`` is the only code that raises ``BudgetError``.  Enumeration
 refuses more than ``DEFAULT_MAX_N`` elements unless ``force=True`` is passed;
@@ -51,7 +58,7 @@ from math import factorial
 from multiprocessing import Pool
 from typing import Optional, Sequence
 
-from .posets import Poset, _bits, basins
+from .posets import Poset, _bits, funnel_and_basins
 from .promotion import (InternalError, _is_natural_pos, _is_tangled_pos, _natural_positions,
                         _preimages)
 
@@ -222,16 +229,18 @@ def _tangled_task(args) -> list[int]:
 def tangled_report(p: Poset, workers: int = 1, force: bool = False) -> TangleReport:
     """Count the tangled labelings, split by the element holding label n - 1.
 
-    A tangled labeling places label n on a basin b and, by the tangled-chain
-    lemma (see the module docstring), label n - 1 strictly above b, so the
-    enumeration runs over the (b, element above b) pairs times the (n-2)!
-    arrangements of the other labels, and stops promoting a labeling at the
-    first break of the chain.  Minimal elements always report zero, since
-    no minimal element lies above a basin.
+    A tangled labeling places label n on a basin b and label n - 1 on an
+    element r strictly above b.  Each element of b's funnel is credited
+    (n-2)! without search; the other (r, b) blocks are enumerated, one task
+    each, stopping a labeling at the first break of the chain (see the
+    module docstring).  Minimal elements always report zero.
     """
     if p.n < 2:
         raise ValueError("tangled labelings need at least two elements")
     _check_budget(p.n, force)
-    pairs = [(r, b) for b in basins(p) for r in _bits(p.above[b])]
+    funnels = funnel_and_basins(p)
+    pairs = [(r, b) for b, f in funnels.items() for r in _bits(p.above[b]) if f and r not in f]
     by_element = _histogram(p, _tangled_task, pairs, workers)
+    for r in frozenset().union(*funnels.values()):
+        by_element[r] += factorial(p.n - 2)
     return TangleReport(tuple(by_element))

@@ -17,6 +17,7 @@ than 6 entries the same way.  The CLI reuses the cap for ``order``,
 
 from __future__ import annotations
 
+import reprlib
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -89,8 +90,8 @@ def irf_tangled_by_element(spec: InflationSpec, x: int) -> int:
     weights = [fiber.n for fiber in spec.fibers]
     _check_budget(sum(weights), None, CLOSED_FORM_MAX_N, "inflated forest elements")
     p, phi = build_inflation(spec)
-    if not 0 <= x < p.n:
-        raise IndexError(f"element {x} out of range for {p.n} elements")
+    if type(x) is not int or not 0 <= x < p.n:  # bool is an int subclass
+        raise IndexError(f"element {reprlib.repr(x)} out of range for {p.n} elements")
     if not p.below[x]:
         return 0
     parents = spec.parents

@@ -220,6 +220,10 @@ class ConjectureReport:
     are (n-m)(n-2)! for m minimal elements and (n-1)! overall.  ``failed``
     names the checks of ``ALL_CHECKS`` that do not hold, in that order:
     n-2 fails when a count exceeds its bound or breaks the equality rule.
+    ``tangled_report`` credits each funnel element (n-2)! by the
+    tangled-chain lemma (see the ``enumeration`` module docstring), so
+    "funnel => (n-2)!" holds by that proof; the enumeration tests the bound
+    and the strict inequality off the funnels.
     """
 
     by_element: tuple
@@ -236,7 +240,8 @@ class ConjectureReport:
 
 
 def check_conjectures(p: Poset, force: bool = False) -> ConjectureReport:
-    """Exhaustively test the tangled-count bounds on one poset (n >= 2)."""
+    """Exhaustively test the tangled-count bounds on one poset (n >= 2);
+    funnel blocks are counted, not searched (see ``ConjectureReport``)."""
     report = tangled_report(p, force=force)
     n = p.n
     m = len(p.minimals)

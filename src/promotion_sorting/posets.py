@@ -157,11 +157,12 @@ class Poset:
 
     def induced(self, elements: Iterable[int]) -> tuple["Poset", tuple[int, ...]]:
         """Subposet on ``elements``; returns it with the old-index order used."""
-        elems = sorted(set(elements))
+        elems = list(elements)
         if not elems:
             raise ValueError("induced subposet needs at least one element")
-        if elems[0] < 0 or elems[-1] >= self.n:
+        if any(type(e) is not int or not 0 <= e < self.n for e in elems):
             raise IndexError("element out of range")
+        elems = sorted(set(elems))
         index = {e: i for i, e in enumerate(elems)}
         rel = [(index[a], index[b]) for a in elems for b in elems
                if self.lt(a, b)]
@@ -260,8 +261,8 @@ def is_loi_complete(p: Poset, x: int) -> bool:
     Minimal elements are trivially complete because their down-set is just
     themselves.
     """
-    if not 0 <= x < p.n:
-        raise IndexError(f"element {x} out of range")
+    if type(x) is not int or not 0 <= x < p.n:  # bool is an int subclass
+        raise IndexError(f"element {reprlib.repr(x)} out of range")
     comp_x = p.above[x] | p.below[x] | (1 << x)
     for y in _bits(p.down_ideal(x)):
         if (p.above[y] | p.below[y]) & ~comp_x:

@@ -16,6 +16,7 @@ from promotion_sorting import (
     build_w_poset,
     chain,
     cumulative_gf,
+    funnel_and_basins,
     generate_posets,
     is_natural,
     order,
@@ -24,7 +25,7 @@ from promotion_sorting import (
     sorting_gf,
     tangled_report,
 )
-from promotion_sorting.enumeration import _check_budget
+from promotion_sorting.enumeration import _check_budget, _tangled_task
 from promotion_sorting.promotion import _advance, labels_of
 
 LAMBDA = Poset(3, [(0, 2), (1, 2)])
@@ -224,9 +225,10 @@ def test_tangled_chain_lemma_and_full_space_oracle():
 def test_tangled_split_invariance(monkeypatch, p):
     # every worker count from 2 to 7 dispatches the same task list, one task
     # per root tail (the holders of labels n - 1 and n in a natural labeling)
-    # for f and one per (basin, element above it) pair for tangled counts,
-    # and sums to the serial result; a fake pool runs the tasks in this
-    # process, so nothing is spawned
+    # for f and one per (basin b, element above b outside its funnel) pair
+    # for tangled counts, and sums to the serial result; a fake pool runs the
+    # tasks in this process, so nothing is spawned.  Three disjoint 2-chains
+    # have funnel pairs only, so their tangled counts dispatch nothing
     from promotion_sorting import enumeration
 
     seen = []
@@ -242,7 +244,7 @@ def test_tangled_split_invariance(monkeypatch, p):
             return False
 
         def imap(self, worker, tasks, chunksize):
-            seen.append([tail for _, tail in tasks])
+            seen.append((worker, [tail for _, tail in tasks]))
             return map(worker, tasks)
 
     monkeypatch.setattr(enumeration, "Pool", FakePool)
@@ -254,17 +256,21 @@ def test_tangled_split_invariance(monkeypatch, p):
         assert tangled_report(p, workers=parts).by_element == serial_tangled
     root_tails = sorted({perm[-2:] for perm in permutations(range(p.n))
                          if is_natural(p, labels_of(perm))})
-    pairs = [(r, b) for b in basins(p) for r in range(p.n) if (p.above[b] >> r) & 1]
-    assert [sorted(tails) for tails in seen[::2]] == [root_tails] * 6
-    assert seen[1::2] == [pairs] * 6
-    assert len(pairs) == sum(p.above[b].bit_count() for b in basins(p))
+    funnels = funnel_and_basins(p)
+    pairs = [(r, b) for b in basins(p) for r in range(p.n)
+             if (p.above[b] >> r) & 1 and r not in funnels[b]]
+    assert [sorted(t) for w, t in seen if w is enumeration._gf_task] == [root_tails] * 6
+    # an empty task list runs in this process and starts no pool
+    assert ([t for w, t in seen if w is enumeration._tangled_task]
+            == ([pairs] * 6 if pairs else []))
+    assert len(pairs) == sum(p.above[b].bit_count() - len(funnels[b]) for b in basins(p))
 
 
 def test_task_lists_cover_each_space_once(monkeypatch):
     # sorting_gf gives each of the n! labelings its order, and
     # tangled_report visits exactly the labelings with label n on a basin
-    # and label n - 1 strictly above it, each once; a recorder stands in for
-    # the tangled kernel
+    # and label n - 1 strictly above it but outside its funnel, each once; a
+    # recorder stands in for the tangled kernel
     from promotion_sorting import enumeration
 
     visits = []
@@ -284,8 +290,10 @@ def test_task_lists_cover_each_space_once(monkeypatch):
                 continue
             visits.clear()
             tangled_report(p)
+            funnels = funnel_and_basins(p)
             want = [pos for pos in permutations(range(n))
-                    if pos[-1] in basins(p) and (p.above[pos[-1]] >> pos[-2]) & 1]
+                    if pos[-1] in basins(p) and (p.above[pos[-1]] >> pos[-2]) & 1
+                    and pos[-2] not in funnels[pos[-1]]]
             assert sorted(visits) == want
 
 
@@ -372,3 +380,39 @@ def test_the_core_stays_dependency_free():
     assert imported
     assert [(name, module) for name, module in sorted(imported)
             if module.split(".")[0] not in sys.stdlib_module_names] == []
+
+
+def test_funnel_credit_matches_enumerating_every_pair_at_seven():
+    # second route at n = 7: the kernel run over every (r, b) pair, funnel
+    # pairs included, against the report that credits funnel blocks
+    for p in generate_posets(7).entries:
+        by_element = [0] * p.n
+        for b in basins(p):
+            for r in range(p.n):
+                if (p.above[b] >> r) & 1:
+                    by_element[r] += _tangled_task((p, (r, b)))[r]
+        assert tangled_report(p).by_element == tuple(by_element)
+
+
+@pytest.mark.parametrize("p", [build_w_poset(WParams(1, 1, 1, 1)), THREE_BASINS],
+                         ids=["W(1,1,1,1)", "three-basins"])
+def test_no_funnel_pair_is_dispatched(monkeypatch, p):
+    # a recorder stands in for the tangled kernel: no dispatched (r, b) pair
+    # has r in b's funnel, and every funnel element gets exactly (n-2)!
+    from promotion_sorting import enumeration
+
+    dispatched = []
+
+    def record(args):
+        dispatched.append(args[1])
+        return _tangled_task(args)
+
+    monkeypatch.setattr(enumeration, "_tangled_task", record)
+    funnels = funnel_and_basins(p)
+    report = tangled_report(p)
+    assert all(r not in funnels[b] for r, b in dispatched)
+    in_funnel = set().union(*funnels.values())
+    assert in_funnel
+    assert all(report.by_element[r] == factorial(p.n - 2) for r in in_funnel)
+    assert len(dispatched) == sum(p.above[b].bit_count() - len(funnels[b])
+                                  for b in basins(p))

@@ -210,6 +210,14 @@ def test_irf_minimal_and_degenerate():
         irf_tangled_by_element(spec, 3)
 
 
+@pytest.mark.parametrize("x", [1.5, 1.0, True, False], ids=repr)
+def test_irf_element_must_be_an_int(x):
+    spec = InflationSpec((None, 0, 1), (C1, C1, C1))
+    assert build_inflation(spec)[0].covers == ((1, 0), (2, 1))  # a 3-chain, top first
+    with pytest.raises(IndexError):
+        irf_tangled_by_element(spec, x)
+
+
 def test_irf_per_element_cap():
     # (n-2)! cap with equality exactly when one minimal element sits below x
     for spec in IRF_SPECS:

@@ -214,6 +214,18 @@ def test_loi_refuses_an_element_out_of_range():
         is_loi_complete(LAMBDA, LAMBDA.n)
 
 
+@pytest.mark.parametrize("x", [1.5, 1.0, True, False], ids=repr)
+def test_element_indices_must_be_ints(x):
+    # a float or bool index gets the range check's IndexError, not a bare
+    # TypeError or a silent run as element 1 or 0
+    p = chain(3)
+    with pytest.raises(IndexError):
+        is_loi_complete(p, x)
+    with pytest.raises(IndexError):
+        p.induced([x, 2])
+    assert p.induced([1, 2])[1] == (1, 2)
+
+
 def test_minimal_elements_loi_complete():
     for p in (LAMBDA, FUNNEL, LOI):
         for x in p.minimals:
