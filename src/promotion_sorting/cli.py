@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import reprlib
 import sys
 from typing import Optional, Sequence
 
@@ -23,7 +22,7 @@ from .formulas import (CLOSED_FORM_MAX_N, attach_antichain, broom_f, irf_bound,
                        pedestal_coeffs, w_poset_tangled, weak_order_family)
 from .harness import (PosetCatalog, generate_posets, poset_levels, save_catalog,
                       scan_catalog)
-from .posets import Poset, decode_json, load_poset, poset_to_json
+from .posets import Poset, _short_repr, decode_json, load_poset, poset_to_json
 from .promotion import (format_labeling, lift_labeling, order, parse_labeling,
                         promote, validate_labeling)
 
@@ -66,7 +65,7 @@ def _load_labeled(args, extra: int = 0) -> tuple[Poset, Optional[tuple[int, ...]
 
     def check_n(n: int) -> None:
         if labels is not None and n != len(labels):
-            raise ValueError(f"labeling {reprlib.repr(labels)} is not a bijection onto 1..{n}")
+            raise ValueError(f"labeling {_short_repr(labels)} is not a bijection onto 1..{n}")
         _check_budget(n + extra, None, CLOSED_FORM_MAX_N, f"{args.command} poset elements")
 
     p = load_poset(args.poset, check_n)
@@ -254,7 +253,8 @@ def _cmd_gen_posets(args) -> int:
 def _cmd_verify(args) -> int:
     _check_budget(args.max_n, args.force, VERIFY_DEFAULT_MAX_N, "verify sweep poset elements")
     found = 0
-    levels = poset_levels(args.max_n, force=args.force, workers=args.threads)
+    levels = poset_levels(args.max_n, connected=not args.all_posets, force=args.force,
+                          workers=args.threads)
     for n, level in enumerate(levels, start=1):
         if n < 2:
             continue

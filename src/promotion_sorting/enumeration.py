@@ -51,14 +51,13 @@ n! grows too fast to wander past that wall by accident.
 from __future__ import annotations
 
 import os
-import reprlib
 from dataclasses import dataclass
 from itertools import accumulate, permutations
 from math import factorial
 from multiprocessing import Pool
 from typing import Optional, Sequence
 
-from .posets import Poset, _bits, funnel_and_basins
+from .posets import Poset, _bits, _short_repr, funnel_and_basins
 from .promotion import (InternalError, _is_natural_pos, _is_tangled_pos, _natural_positions,
                         _preimages)
 
@@ -75,7 +74,7 @@ def _check_budget(n: int, force: Optional[bool], cap: int = DEFAULT_MAX_N,
     if n > cap and not force:
         hint = ("" if force is None
                 else "; pass force=True (--force on the command line) to run anyway")
-        raise BudgetError(f"{what} of {reprlib.repr(n)} exceeds the budget of {cap}{hint}")
+        raise BudgetError(f"{what} of {_short_repr(n)} exceeds the budget of {cap}{hint}")
 
 
 # -- generating function container -------------------------------------------

@@ -13,11 +13,11 @@ Three families appear throughout the package:
 
 from __future__ import annotations
 
-import reprlib
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional
 
-from .posets import DisconnectedError, Poset, SpecError, _check_ints, poset_from_doc
+from .posets import (DisconnectedError, Poset, SpecError, _check_ints, _short_repr,
+                     poset_from_doc)
 
 
 class FiberError(ValueError):
@@ -61,10 +61,10 @@ def build_shoelace(spec: ShoelaceSpec) -> Poset:
     for pair, length in spec.chains.items():
         if not (isinstance(pair, tuple) and len(pair) == 2 and all(type(v) is int for v in pair)
                 and 1 <= pair[0] <= l and 1 <= pair[1] <= m):
-            raise SpecError(f"pair {reprlib.repr(pair)} out of range for {l} minimals, "
+            raise SpecError(f"pair {_short_repr(pair)} out of range for {l} minimals, "
                             f"{m} maximals")
         if type(length) is not int or length < 0:
-            raise SpecError(f"chain length for {pair} is {reprlib.repr(length)}, not an int >= 0")
+            raise SpecError(f"chain length for {pair} is {_short_repr(length)}, not an int >= 0")
 
     names = [f"x{i}" for i in range(1, l + 1)] + [f"y{j}" for j in range(1, m + 1)]
     covers: list[tuple[int, int]] = []
@@ -183,7 +183,7 @@ def _validate_forest(parents: tuple) -> None:
         raise ForestError("a forest needs at least one node")
     for q, par in enumerate(parents):
         if par is not None and (type(par) is not int or not 0 <= par < r):
-            raise ForestError(f"parent of node {q} is {reprlib.repr(par)}")
+            raise ForestError(f"parent of node {q} is {_short_repr(par)}")
     walk = [-1] * r
     for q in range(r):
         node = q

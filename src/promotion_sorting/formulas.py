@@ -17,7 +17,6 @@ than 6 entries the same way.  The CLI reuses the cap for ``order``,
 
 from __future__ import annotations
 
-import reprlib
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,7 +27,7 @@ from typing import Optional, Sequence
 
 from .enumeration import GenFun, _check_budget
 from .families import InflationSpec, build_inflation
-from .posets import Poset, _check_ints
+from .posets import Poset, _check_ints, _short_repr
 from .promotion import InternalError
 
 
@@ -91,7 +90,7 @@ def irf_tangled_by_element(spec: InflationSpec, x: int) -> int:
     _check_budget(sum(weights), None, CLOSED_FORM_MAX_N, "inflated forest elements")
     p, phi = build_inflation(spec)
     if type(x) is not int or not 0 <= x < p.n:  # bool is an int subclass
-        raise IndexError(f"element {reprlib.repr(x)} out of range for {p.n} elements")
+        raise IndexError(f"element {_short_repr(x)} out of range for {p.n} elements")
     if not p.below[x]:
         return 0
     parents = spec.parents

@@ -6,6 +6,26 @@ over all element orders compatible with an invariant refinement, of the
 pairwise relation encoding (for each element, its relation to every earlier
 element: incomparable 0, below 1, above 2).  Ties between interchangeable
 twin elements are collapsed, which keeps highly symmetric posets cheap.
+
+Catalogs grow level by level: every poset on n + 1 elements is a poset on
+n elements plus a new maximal element whose strict down-set is a lower
+order ideal I, and the child over the smallest ideal mask (parents taken in
+order) represents its class.  Two kinds of children are skipped, and
+neither skip changes a representative:
+
+- Twin orbits.  Twins are elements of the parent with equal up- and
+  down-sets.  Swapping two twins is an automorphism of the parent, so it
+  maps the child over I to an isomorphic child.  Moving an ideal's bit to
+  a lower-indexed twin makes the mask smaller, so the smallest mask of a
+  twin orbit holds, in each twin class, the lowest-indexed members; the
+  smallest mask of an isomorphism class is the smallest of its own orbit.
+  Growth therefore tries only the ideals that hold a prefix, in index
+  order, of every twin class.
+- Disconnected children.  The new element joins exactly the components of
+  the parent that I meets, so the child is connected exactly when I meets
+  every component.  Isomorphic children are both connected or both not, so
+  a connected-only level tries only those ideals and keeps the first mask
+  of every connected class.
 """
 
 from __future__ import annotations
@@ -100,23 +120,46 @@ def canonicalize(p: Poset, force: bool = False) -> bytes:
 
 # -- isomorphism-free generation -------------------------------------------------
 
-def _lower_ideal_masks(p: Poset) -> list[int]:
-    """Every lower order ideal of ``p`` as a bitmask, in increasing order.
+def _orbit_ideal_masks(p: Poset) -> list[int]:
+    """The lower order ideals of ``p`` that hold a prefix, in index order, of
+    every twin class, as bitmasks in increasing order: the smallest mask of
+    each orbit of the twin swaps (see the module docstring).
 
     Elements are decided along a linear extension, so an element joins an
-    ideal exactly when everything below it is already there.
+    ideal exactly when everything below it is already there, and a twin
+    only when the next lower-indexed twin is there too: twins share a
+    height, so the stable sort decides that one first.
     """
+    needs = list(p.below)
+    last: dict[tuple[int, int], int] = {}
+    for x in range(p.n):
+        twin = (p.above[x], p.below[x])
+        if twin in last:
+            needs[x] |= 1 << last[twin]
+        last[twin] = x
     ideals = [0]
     for x in sorted(range(p.n), key=p.heights.__getitem__):
-        ideals += [m | 1 << x for m in ideals if not p.below[x] & ~m]
+        ideals += [m | 1 << x for m in ideals if not needs[x] & ~m]
     return sorted(ideals)
 
 
-def _extend_by_maximal(p: Poset, ideal_mask: int) -> Poset:
-    """Add one new maximal element whose strict down-set is ``ideal_mask``."""
-    covers = list(p.covers)
-    covers += [(e, p.n) for e in _bits(ideal_mask) if not p.above[e] & ideal_mask]
-    return Poset(p.n + 1, covers)
+def _extend_by_maximal(p: Poset, ideal: int) -> Poset:
+    """Add one new maximal element n whose strict down-set is the lower ideal
+    ``ideal``, filling every slot from the parent's in O(n), with no closure."""
+    n = p.n
+    tops = [e for e in _bits(ideal) if not p.above[e] & ideal]
+    child = Poset.__new__(Poset)
+    child.n = n + 1
+    child.above = tuple(row | 1 << n if ideal >> e & 1 else row
+                        for e, row in enumerate(p.above)) + (0,)
+    child.below = p.below + (ideal,)
+    child.covers = tuple(sorted(p.covers + tuple((e, n) for e in tops)))
+    child.heights = p.heights + (1 + max(p.heights[e] for e in tops) if tops else 0,)
+    child.minimals = p.minimals if ideal else p.minimals + (n,)
+    child.maximals = tuple(x for x in p.maximals if not ideal >> x & 1) + (n,)
+    child.names = None
+    child._hash = hash((n + 1, child.above))
+    return child
 
 
 @dataclass(frozen=True)
@@ -133,25 +176,30 @@ class PosetCatalog:
 
 def _grow_task(args) -> list[tuple[bytes, int]]:
     """``(canonical form, ideal mask)`` of the first child of ``p`` in each
-    isomorphism class, children taken one per lower ideal in mask order."""
-    p, force = args
+    isomorphism class, children taken one per lower ideal in mask order;
+    one ideal per twin orbit is tried, and with ``connected`` only the
+    ideals giving connected children (see the module docstring)."""
+    p, connected, force = args
+    components = p.components() if connected else ()
     firsts: dict[bytes, int] = {}
-    for mask in _lower_ideal_masks(p):
-        firsts.setdefault(canonicalize(_extend_by_maximal(p, mask), force=force), mask)
+    for mask in _orbit_ideal_masks(p):
+        if all(mask & c for c in components):
+            firsts.setdefault(canonicalize(_extend_by_maximal(p, mask), force=force), mask)
     return list(firsts.items())
 
 
-def poset_levels(max_n: int, force: bool = False, workers: int = 1) -> Iterator[tuple]:
-    """Yield one representative per isomorphism class for n = 1, .., max_n.
+def poset_levels(max_n: int, connected: bool = False, force: bool = False,
+                 workers: int = 1) -> Iterator[tuple]:
+    """Yield one representative per isomorphism class for n = 1, .., max_n;
+    with ``connected``, the last level holds the connected classes only.
 
-    Grows size by size: every poset on k + 1 elements arises from a poset on
-    k elements by adding a new maximal element over a lower order ideal, and
-    canonical forms collapse the duplicate histories.  Each level runs one
-    ``_grow_task`` per parent through ``_run_chunks``; the results stream
-    back in parent order as (canonical form, ideal mask) pairs, and a child
-    ``Poset`` is built here only for a form not seen before.  The first-seen
-    child represents its class whatever ``workers`` is, and each yielded
-    level is a tuple sorted by canonical form, so catalogs are deterministic.
+    Grows size by size, as the module docstring sets out.  Each level runs
+    one ``_grow_task`` per parent through ``_run_chunks``; the results
+    stream back in parent order as (canonical form, ideal mask) pairs, and a
+    child ``Poset`` is built here only for a form not seen before.  The
+    first-seen child represents its class whatever ``workers`` is, and each
+    yielded level is a tuple sorted by canonical form, so catalogs are
+    deterministic.
     """
     _check_budget(max_n, force, cap=GENERATION_MAX_N, what="catalog poset elements")
     if max_n < 1:
@@ -160,7 +208,8 @@ def poset_levels(max_n: int, force: bool = False, workers: int = 1) -> Iterator[
     for n in range(1, max_n + 1):
         if n > 1:
             parents = tuple(level.values())
-            results = _run_chunks(_grow_task, [(p, force) for p in parents], workers)
+            tasks = [(p, connected and n == max_n, force) for p in parents]
+            results = _run_chunks(_grow_task, tasks, workers)
             level = {}
             # results first, so zip exhausts the generator and its pool shuts down
             for children, p in zip(results, parents):
@@ -172,10 +221,9 @@ def poset_levels(max_n: int, force: bool = False, workers: int = 1) -> Iterator[
 
 def generate_posets(n: int, connected: bool = False, force: bool = False,
                     workers: int = 1) -> PosetCatalog:
-    """The last level of :func:`poset_levels`, optionally connected posets only."""
-    *_, entries = poset_levels(n, force=force, workers=workers)
-    if connected:
-        entries = tuple(p for p in entries if p.is_connected())
+    """The last level of :func:`poset_levels`, optionally connected posets
+    only, which growth alone selects (see the module docstring)."""
+    *_, entries = poset_levels(n, connected=connected, force=force, workers=workers)
     return PosetCatalog(n=n, connected_only=connected, entries=entries)
 
 

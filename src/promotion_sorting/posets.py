@@ -12,8 +12,31 @@ instances can be shared freely between threads and worker processes.
 from __future__ import annotations
 
 import json
+import math
 import reprlib
 from typing import Callable, Iterable, Mapping, Optional, Sequence
+
+
+class _BoundedRepr(reprlib.Repr):
+    """``reprlib.repr`` for error messages; an int too long to show whole is
+    shown as its digit count.
+
+    ``reprlib`` would truncate the int's decimal text, but Python refuses to
+    build that text past 4,300 digits, so formatting the message that
+    reports the bad value would itself raise ``ValueError``.
+    """
+
+    def repr_int(self, x: int, level: int) -> str:
+        size = abs(x)
+        # 2**(bits-1) <= size < 2**bits leaves two candidate digit counts
+        digits = math.floor((size.bit_length() - 1) * math.log10(2)) + 1
+        digits += size >= 10 ** digits
+        if digits <= self.maxlong:
+            return super().repr_int(x, level)
+        return f"<{'-' if x < 0 else ''}{digits}-digit int>"
+
+
+_short_repr = _BoundedRepr().repr
 
 
 class CycleError(ValueError):
@@ -32,12 +55,12 @@ def _check_ints(error: type, **params) -> None:
     """Raise ``error`` for the first parameter that is not an ``int``; a ``bool`` is not one."""
     for name, value in params.items():
         if type(value) is not int:
-            raise error(f"{name} must be an integer, got {reprlib.repr(value)}")
+            raise error(f"{name} must be an integer, got {_short_repr(value)}")
 
 
 def _check_size(n) -> None:
     if type(n) is not int or n < 1:  # bool is an int subclass
-        raise ValueError(f"poset size must be a positive integer, got {reprlib.repr(n)}")
+        raise ValueError(f"poset size must be a positive integer, got {_short_repr(n)}")
 
 
 def _validate_covers(n: int, covers: Iterable[Sequence[int]]) -> list[tuple[int, int]]:
@@ -45,9 +68,9 @@ def _validate_covers(n: int, covers: Iterable[Sequence[int]]) -> list[tuple[int,
     for pair in covers:
         a, b = pair
         if type(a) is not int or type(b) is not int:  # bool is an int subclass
-            raise SpecError(f"cover pair {reprlib.repr(pair)} is not a pair of integers")
+            raise SpecError(f"cover pair {_short_repr(pair)} is not a pair of integers")
         if not (0 <= a < n and 0 <= b < n):
-            raise IndexError(f"cover pair {reprlib.repr((a, b))} out of range for n={n}")
+            raise IndexError(f"cover pair {_short_repr((a, b))} out of range for n={n}")
         if a == b:
             raise CycleError(f"self-relation ({a}, {a}) is not irreflexive")
         pairs.append((a, b))
@@ -143,17 +166,26 @@ class Poset:
         """Bitmask of the principal lower order ideal of x (inclusive)."""
         return self.below[x] | (1 << x)
 
+    def components(self) -> tuple[int, ...]:
+        """Bitmasks of the connected components of the Hasse diagram, in
+        order of their least elements."""
+        comps = []
+        rest = (1 << self.n) - 1
+        while rest:
+            seen = rest & -rest
+            frontier = [seen.bit_length() - 1]
+            while frontier:
+                x = frontier.pop()
+                new = (self.above[x] | self.below[x]) & ~seen
+                seen |= new
+                frontier.extend(_bits(new))
+            comps.append(seen)
+            rest &= ~seen
+        return tuple(comps)
+
     def is_connected(self) -> bool:
         """Whether the Hasse diagram is a connected graph."""
-        seen = 1
-        frontier = [0]
-        adj = [self.above[x] | self.below[x] for x in range(self.n)]
-        while frontier:
-            x = frontier.pop()
-            new = adj[x] & ~seen
-            seen |= new
-            frontier.extend(_bits(new))
-        return seen == (1 << self.n) - 1
+        return len(self.components()) == 1
 
     def induced(self, elements: Iterable[int]) -> tuple["Poset", tuple[int, ...]]:
         """Subposet on ``elements``; returns it with the old-index order used."""
@@ -262,7 +294,7 @@ def is_loi_complete(p: Poset, x: int) -> bool:
     themselves.
     """
     if type(x) is not int or not 0 <= x < p.n:  # bool is an int subclass
-        raise IndexError(f"element {reprlib.repr(x)} out of range")
+        raise IndexError(f"element {_short_repr(x)} out of range")
     comp_x = p.above[x] | p.below[x] | (1 << x)
     for y in _bits(p.down_ideal(x)):
         if (p.above[y] | p.below[y]) & ~comp_x:
@@ -317,12 +349,12 @@ def poset_from_doc(doc, check_n: Optional[Callable[[int], None]] = None) -> Pose
     covers = doc["covers"]
     names = doc.get("names")
     if type(n) is not int:
-        raise SpecError(f'"n" must be an integer, got {reprlib.repr(n)}')
+        raise SpecError(f'"n" must be an integer, got {_short_repr(n)}')
     if not isinstance(covers, list) or not all(
             isinstance(c, list) and len(c) == 2 for c in covers):
         raise SpecError('"covers" must be a list of [i, j] pairs')
     if names is not None and not isinstance(names, list):
-        raise SpecError(f'"names" must be a list, got {reprlib.repr(names)}')
+        raise SpecError(f'"names" must be a list, got {_short_repr(names)}')
     if check_n is not None:
         check_n(n)
     return Poset(n, [tuple(c) for c in covers], names)

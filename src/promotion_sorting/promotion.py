@@ -18,11 +18,10 @@ states.
 
 from __future__ import annotations
 
-import reprlib
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .posets import Poset, _bits, antichain, basins, ordinal_sum
+from .posets import Poset, _bits, _short_repr, antichain, basins, ordinal_sum
 
 
 class InternalError(RuntimeError):
@@ -41,7 +40,7 @@ def validate_labeling(p: Poset, labels: Sequence[int]) -> tuple[int, ...]:
     labels = tuple(labels)
     if (len(labels) != p.n or any(type(v) is not int for v in labels)
             or sorted(labels) != list(range(1, p.n + 1))):
-        raise ValueError(f"labeling {reprlib.repr(labels)} is not a bijection onto 1..{p.n}")
+        raise ValueError(f"labeling {_short_repr(labels)} is not a bijection onto 1..{p.n}")
     return labels
 
 
@@ -66,7 +65,7 @@ def parse_labeling(text: str) -> tuple[int, ...]:
         return tuple(int(part) for part in text.strip().split(","))
     except ValueError:
         raise ValueError(
-            f"labeling {reprlib.repr(text)} is not comma-separated integers") from None
+            f"labeling {_short_repr(text)} is not comma-separated integers") from None
 
 
 def format_labeling(labels: Iterable[int]) -> str:
@@ -321,11 +320,11 @@ def lift_labeling(p: Poset, labels: Sequence[int], indices: Sequence[int]) -> tu
     if k < 1:
         raise RangeError("need at least one new label index")
     if any(type(i) is not int for i in indices):  # bool is an int subclass
-        raise RangeError(f"indices {reprlib.repr(indices)} must be integers")
+        raise RangeError(f"indices {_short_repr(indices)} must be integers")
     if any(b <= a for a, b in zip(indices, indices[1:])):
-        raise RangeError(f"indices {reprlib.repr(indices)} must be strictly increasing")
+        raise RangeError(f"indices {_short_repr(indices)} must be strictly increasing")
     if indices[0] < 1 or indices[-1] > p.n + k:
-        raise RangeError(f"indices {reprlib.repr(indices)} must lie in 1..{p.n + k}")
+        raise RangeError(f"indices {_short_repr(indices)} must lie in 1..{p.n + k}")
     lifted = list(indices)
     for value in labels:
         for step in indices:

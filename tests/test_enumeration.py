@@ -334,6 +334,11 @@ def test_budget_hint_only_where_force_applies():
     _check_budget(400, None, 400)
 
 
+def test_budget_refuses_a_huge_int():
+    with pytest.raises(BudgetError, match="of <5001-digit int> exceeds the budget of 9"):
+        _check_budget(10**5000, False)
+
+
 def test_budget_error_is_raised_in_one_place():
     # every size refusal must go through _check_budget, so that a new cap
     # cannot fork the rule, its wording or its --force hint again

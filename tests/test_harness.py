@@ -7,6 +7,7 @@ counts and canonical-form partitions must agree with it exactly.
 """
 
 import hashlib
+import pickle
 import random
 from itertools import combinations, permutations, product
 from math import factorial
@@ -30,7 +31,9 @@ from promotion_sorting import (
     scan_catalog,
 )
 from promotion_sorting.cli import main
-from promotion_sorting.harness import _lower_ideal_masks, poset_levels
+from promotion_sorting.harness import (_extend_by_maximal, _grow_task, _orbit_ideal_masks,
+                                       poset_levels)
+from promotion_sorting.posets import _bits
 
 LAMBDA = Poset(3, [(0, 2), (1, 2)])
 V3 = Poset(3, [(0, 1), (0, 2)])
@@ -142,17 +145,69 @@ def test_worker_count_never_changes_representatives(monkeypatch):
     from promotion_sorting import enumeration
 
     monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)
-    serial = [[p.covers for p in level] for level in poset_levels(7)]
-    pooled = [[p.covers for p in level] for level in poset_levels(7, workers=2)]
-    assert pooled == serial
+    for connected in (False, True):
+        serial = [[p.covers for p in level] for level in poset_levels(7, connected=connected)]
+        pooled = [[p.covers for p in level]
+                  for level in poset_levels(7, connected=connected, workers=2)]
+        assert pooled == serial
+
+
+def test_connected_growth_prunes_only_the_last_level():
+    *lower, last = poset_levels(6, connected=True)
+    assert [len(level) for level in lower] == [ISO_CLASS_COUNTS[n] for n in range(1, 6)]
+    assert len(last) == CONNECTED_COUNTS[6]
+    assert all(p.is_connected() for p in last)
+
+
+def _lower_ideals(p):
+    """Every lower order ideal of ``p`` as a bitmask, by brute filter."""
+    return [mask for mask in range(1 << p.n)
+            if all(not p.below[e] & ~mask for e in _bits(mask))]
 
 
 def test_lower_ideals_match_brute_filter():
     for n in range(1, 6):
         for p in generate_posets(n).entries:
-            brute = [mask for mask in range(1 << n)
-                     if all(not p.below[e] & ~mask for e in range(n) if mask >> e & 1)]
-            assert _lower_ideal_masks(p) == brute
+            # a twin may join only after every lower-indexed twin of it
+            twins = [(x, y) for x, y in combinations(range(n), 2)
+                     if (p.above[x], p.below[x]) == (p.above[y], p.below[y])]
+            assert _orbit_ideal_masks(p) == [
+                mask for mask in _lower_ideals(p)
+                if all(mask >> x & 1 or not mask >> y & 1 for x, y in twins)]
+
+
+def _children(max_n):
+    """Every (parent, ideal mask, child built with a closure) for the parents
+    on at most ``max_n`` elements."""
+    for level in poset_levels(max_n):
+        for p in level:
+            for mask in _lower_ideals(p):
+                new = [(e, p.n) for e in _bits(mask) if not p.above[e] & mask]
+                yield p, mask, Poset(p.n + 1, [*p.covers, *new])
+
+
+def test_closure_free_child_matches_a_closed_build():
+    count = 0
+    for p, mask, want in _children(6):
+        got = _extend_by_maximal(p, mask)
+        for slot in Poset.__slots__:
+            assert getattr(got, slot) == getattr(want, slot), (p, mask, slot)
+        back = pickle.loads(pickle.dumps(got))
+        assert all(getattr(back, slot) == getattr(want, slot) for slot in Poset.__slots__)
+        count += 1
+    assert count == 6377
+
+
+def test_grow_task_prunes_no_first_child():
+    # the reference canonicalizes every child and keeps the first per form
+    reference: dict = {}
+    for p, mask, child in _children(6):
+        reference.setdefault(p, {}).setdefault(canonicalize(child), (mask, child))
+    for p, firsts in reference.items():
+        pairs = [(key, mask) for key, (mask, _) in firsts.items()]
+        assert _grow_task((p, False, False)) == pairs
+        assert _grow_task((p, True, False)) == [
+            (key, mask) for key, (mask, child) in firsts.items() if child.is_connected()]
 
 
 def test_catalog_matches_brute_classes():
@@ -211,6 +266,22 @@ def test_canonical_bytes_and_catalog_order_are_pinned(capsys):
     assert len(out.splitlines()) == 318
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "d6837914f02075866e2576e62587a2ed6d7e3fc85eca408526d8fd9f432c1f41")
+    assert main(["gen-posets", "--n", "7", "--connected"]) == 0
+    out = capsys.readouterr().out
+    assert len(out.splitlines()) == 1650
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "cc79dfdfbee20312957518b460d53e653baf2f371f6c77a76cbe3af3c4b5956b")
+
+
+@pytest.mark.slow
+def test_connected_catalog_8_is_pinned(tmp_path):
+    # digest of the file as written before connected growth was pruned
+    path = tmp_path / "catalog8.jsonl"
+    assert main(["gen-posets", "--n", "8", "--connected", "--out", str(path)]) == 0
+    data = path.read_bytes()
+    assert data.count(b"\n") == 14512
+    assert hashlib.sha256(data).hexdigest() == (
+        "3177e1e8bf1771253ae2d71ce80c06656a2fea3ef1c7daea207a80817a29fdde")
 
 
 def test_generation_budget():

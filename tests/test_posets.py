@@ -124,6 +124,13 @@ def test_disjoint_union():
     assert chain(3).is_connected()
 
 
+def test_components_are_masks_by_least_element():
+    p = disjoint_union(disjoint_union(chain(2), antichain(1)), LAMBDA)
+    assert p.components() == (0b11, 0b100, 0b111000)
+    assert chain(3).components() == (0b111,)
+    assert antichain(3).components() == (1, 2, 4)
+
+
 def test_ideals_are_bitmasks():
     c = chain(3)
     assert list(_bits(c.down_ideal(2))) == [0, 1, 2]
@@ -224,6 +231,16 @@ def test_element_indices_must_be_ints(x):
     with pytest.raises(IndexError):
         p.induced([x, 2])
     assert p.induced([1, 2])[1] == (1, 2)
+
+
+def test_huge_int_in_a_message_keeps_the_error_type():
+    # Python refuses the decimal text of an int over 4,300 digits, so the
+    # message shows a digit count instead of raising that ValueError
+    with pytest.raises(IndexError, match="element <5001-digit int> out of range"):
+        is_loi_complete(chain(3), 10**5000)
+    assert posets._short_repr(-10**5000) == "<-5001-digit int>"
+    assert posets._short_repr(10**40 - 1) == "9" * 40
+    assert posets._short_repr([1, 10**40]) == "[1, <41-digit int>]"
 
 
 def test_minimal_elements_loi_complete():
