@@ -9,7 +9,6 @@ though its cumulative partner stays log-concave.
 from promotion_sorting import (
     antichain,
     chain,
-    cumulative_gf,
     ordinal_sum,
     sequence_shape,
     sorting_gf,
@@ -24,7 +23,7 @@ for name, p in [("3-chain", chain(3)),
     if p is None:
         p = ordinal_sum(antichain(2), chain(1))
     f = sorting_gf(p)
-    g = cumulative_gf(p)
+    g = f.cumulative()
     print(f"{name}: f = [{f}]  g = [{g}]  trimmed f = {f.trimmed()}")
 print()
 
@@ -43,7 +42,7 @@ print()
 # stacking antichains T2 + T2 + T2 breaks unimodality of f
 t222 = ordinal_sum(antichain(2), ordinal_sum(antichain(2), antichain(2)))
 f = sorting_gf(t222)
-g = cumulative_gf(t222)
+g = f.cumulative()
 print("T2+T2+T2 sorting     f =", f.coeffs)
 print("T2+T2+T2 cumulative  g =", g.coeffs)
 print("f shape:", sequence_shape(f.coeffs))

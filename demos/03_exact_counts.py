@@ -14,7 +14,6 @@ from promotion_sorting import (
     build_inflation,
     build_w_poset,
     chain,
-    cumulative_gf,
     irf_bound,
     irf_tangled_by_element,
     ordinal_sum,
@@ -63,7 +62,7 @@ funnel = ordinal_sum(antichain(2), chain(1))
 ped = ordinal_sum(chain(2), funnel)
 print("pedestal tails for n = 3, l = 2:", tails)
 print("  realized on the funnel: f =", sorting_gf(ped).coeffs,
-      " g =", cumulative_gf(ped).coeffs)
+      " g =", sorting_gf(ped).cumulative().coeffs)
 print()
 
 # attaching a k-antichain below any poset rewrites f in closed form
@@ -82,4 +81,4 @@ stack = antichain(3)
 stack = ordinal_sum(stack, antichain(2))
 stack = ordinal_sum(stack, antichain(1))
 print(f"antichain stack {sizes} (top to bottom): g = {g.coeffs}"
-      f"  (direct: {g.coeffs == cumulative_gf(stack).coeffs})")
+      f"  (direct: {g.coeffs == sorting_gf(stack).cumulative().coeffs})")

@@ -7,8 +7,7 @@ checking the outstanding bound conjectures.
 """
 
 from .enumeration import (BudgetError, GenFun, SequenceShape, TangleReport,
-                          cumulative_gf, sequence_shape, sorting_gf,
-                          tangled_report)
+                          sequence_shape, sorting_gf, tangled_report)
 from .families import (FiberError, ForestError, InflationSpec, ShoelaceSpec,
                        WParams, build_inflation, build_shoelace,
                        build_w_poset, inflation_spec_from_json, w_as_shoelace)

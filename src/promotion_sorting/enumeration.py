@@ -195,11 +195,6 @@ def sorting_gf(p: Poset, workers: int = 1, force: bool = False) -> GenFun:
     return GenFun(tuple(coeffs))
 
 
-def cumulative_gf(p: Poset, workers: int = 1, force: bool = False) -> GenFun:
-    """Coefficient i counts the labelings sorted within i steps."""
-    return sorting_gf(p, workers=workers, force=force).cumulative()
-
-
 # -- tangled labelings ---------------------------------------------------------
 
 @dataclass(frozen=True)

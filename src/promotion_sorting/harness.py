@@ -7,6 +7,26 @@ pairwise relation encoding (for each element, its relation to every earlier
 element: incomparable 0, below 1, above 2).  Ties between interchangeable
 twin elements are collapsed, which keeps highly symmetric posets cheap.
 
+Three shortcuts leave every class and every byte as the plain refinement
+and search would give them:
+
+- Singleton keys.  Each refinement round ranks the elements by (class,
+  sorted cover classes above, sorted cover classes below).  The class comes
+  first, so a key's rank is the number of distinct keys in lower classes
+  plus its place among the keys of its own class.  A class of one element
+  has one key either way, so that element gets the key (class,) and the
+  same rank.
+- The stop rule.  Each round splits classes and keeps their order, so the
+  ranks are unchanged exactly when the class count is; refinement stops
+  when the count stops growing, or reaches n, where nothing can split.
+- Forced positions and the read-off.  The search fixes the element order
+  position by position.  It compares relation digits, sliced from one
+  table row per element, only where a class offers two candidates that
+  are not twins.  Where one candidate is left, it is placed without a
+  branch, so a discrete refinement is read off along the class order with
+  no search.  The orders below a branch share their digits up to it, so
+  the least full form has the least tail.
+
 Catalogs grow level by level: every poset on n + 1 elements is a poset on
 n elements plus a new maximal element whose strict down-set is a lower
 order ideal I, and the child over the smallest ideal mask (parents taken in
@@ -33,6 +53,7 @@ from __future__ import annotations
 import gzip
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterator
 
 from .enumeration import (_check_budget, _run_chunks, sequence_shape, sorting_gf,
@@ -64,21 +85,46 @@ def _refined_classes(p: Poset) -> list[int]:
     for a, b in p.covers:
         cover_up[a].append(b)
         cover_down[b].append(a)
-    classes = _rank([
-        (p.below[x].bit_count(), p.above[x].bit_count(), p.heights[x],
-         len(cover_up[x]), len(cover_down[x]))
-        for x in range(n)
-    ])
-    while True:
+    classes = _rank(list(zip(map(int.bit_count, p.below), map(int.bit_count, p.above),
+                             p.heights, map(len, cover_up), map(len, cover_down))))
+    count = max(classes) + 1
+    while count < n:
+        size = [0] * count
+        for c in classes:
+            size[c] += 1
+        get = classes.__getitem__
         new = _rank([
-            (classes[x],
-             tuple(sorted(classes[y] for y in cover_up[x])),
-             tuple(sorted(classes[y] for y in cover_down[x])))
-            for x in range(n)
+            (c,) if size[c] == 1 else
+            (c, tuple(sorted(map(get, cover_up[x]))), tuple(sorted(map(get, cover_down[x]))))
+            for x, c in enumerate(classes)
         ])
-        if new == classes:
-            return classes
-        classes = new
+        grown = max(new) + 1
+        if grown == count:
+            break
+        classes, count = new, grown
+    return classes
+
+
+def _spread_table(bits: int) -> tuple:
+    """Every ``bits``-bit mask with bit i moved to bit 8i, the low bit of byte i."""
+    table = [0]
+    for i in range(bits):
+        table += [s | 1 << 8 * i for s in table]
+    return tuple(table)
+
+
+_SPREAD_BITS = CANON_MAX_N
+_SPREAD = _spread_table(_SPREAD_BITS)
+
+
+def _spread(mask: int) -> int:
+    """``mask`` with bit q moved to byte q, for masks of any width."""
+    spread = shift = 0
+    while mask:
+        spread |= _SPREAD[mask & (1 << _SPREAD_BITS) - 1] << 8 * shift
+        mask >>= _SPREAD_BITS
+        shift += _SPREAD_BITS
+    return spread
 
 
 def canonicalize(p: Poset, force: bool = False) -> bytes:
@@ -86,34 +132,45 @@ def canonicalize(p: Poset, force: bool = False) -> bytes:
     _check_budget(p.n, force, cap=CANON_MAX_N, what="canonicalized poset elements")
     n = p.n
     classes = _refined_classes(p)
+    # rows[e][q] is e's relation digit to q.  Column n is a constant 0, so
+    # itemgetter(*placed, n) needs no case for an empty ``placed``.
+    spread = _SPREAD.__getitem__ if n <= _SPREAD_BITS else _spread
+    rows = [(2 * spread(b) + spread(a)).to_bytes(n + 1, "little")
+            for a, b in zip(p.above, p.below)]
     members: dict[int, list[int]] = {}
     for x in range(n):
         members.setdefault(classes[x], []).append(x)
     blocks = sorted(classes)
-    above, below = p.above, p.below
 
-    def search(placed: list[int], used: int) -> tuple:
-        if len(placed) == n:
-            return ()
-        best = None
-        chosen: list[int] = []
-        # Elements with equal strict up- and down-sets are incomparable twins
-        # with equal signatures: swapping two is an automorphism, so only the
-        # first free member of each twin set is tried.
-        twins = set()
-        for e in members[blocks[len(placed)]]:
-            twin = (above[e], below[e])
-            if used >> e & 1 or twin in twins:
-                continue
-            twins.add(twin)
-            sig = tuple(
-                2 if below[e] >> q & 1 else (1 if above[e] >> q & 1 else 0)
-                for q in placed)
-            if best is None or sig < best:
-                best, chosen = sig, [e]
-            elif sig == best:
-                chosen.append(e)
-        return best + min(search([*placed, e], used | 1 << e) for e in chosen)
+    def search(placed: list[int], used: int) -> list[int]:
+        """The least form over the orders that extend ``placed`` (extended
+        in place); a position with one candidate is taken without a branch."""
+        while len(placed) < n:
+            # Elements with equal rows are incomparable twins with equal
+            # signatures: swapping two is an automorphism, so only the first
+            # free member of each twin set is tried.
+            candidates = []
+            twins = set()
+            for e in members[blocks[len(placed)]]:
+                row = rows[e]
+                if not used >> e & 1 and row not in twins:
+                    twins.add(row)
+                    candidates.append(e)
+            if len(candidates) > 1:
+                get = itemgetter(*placed, n)
+                sigs = [get(rows[e]) for e in candidates]
+                best = min(sigs)
+                chosen = [e for e, sig in zip(candidates, sigs) if sig == best]
+                if len(chosen) > 1:
+                    return min(search([*placed, e], used | 1 << e) for e in chosen)
+                candidates = chosen
+            placed.append(candidates[0])
+            used |= 1 << candidates[0]
+        pick = itemgetter(*placed, n)
+        form: list[int] = []
+        for k, e in enumerate(placed):
+            form += pick(rows[e])[:k]
+        return form
 
     return f"{n}:".encode() + bytes(search([], 0))
 
@@ -147,16 +204,21 @@ def _extend_by_maximal(p: Poset, ideal: int) -> Poset:
     """Add one new maximal element n whose strict down-set is the lower ideal
     ``ideal``, filling every slot from the parent's in O(n), with no closure."""
     n = p.n
-    tops = [e for e in _bits(ideal) if not p.above[e] & ideal]
+    above = list(p.above)
+    tops = []
+    for e in _bits(ideal):
+        if not above[e] & ideal:
+            tops.append(e)
+        above[e] |= 1 << n
+    above.append(0)
     child = Poset.__new__(Poset)
     child.n = n + 1
-    child.above = tuple(row | 1 << n if ideal >> e & 1 else row
-                        for e, row in enumerate(p.above)) + (0,)
+    child.above = tuple(above)
     child.below = p.below + (ideal,)
-    child.covers = tuple(sorted(p.covers + tuple((e, n) for e in tops)))
-    child.heights = p.heights + (1 + max(p.heights[e] for e in tops) if tops else 0,)
+    child.covers = tuple(sorted([*p.covers, *[(e, n) for e in tops]]))
+    child.heights = p.heights + (1 + max(map(p.heights.__getitem__, tops)) if tops else 0,)
     child.minimals = p.minimals if ideal else p.minimals + (n,)
-    child.maximals = tuple(x for x in p.maximals if not ideal >> x & 1) + (n,)
+    child.maximals = tuple([x for x in p.maximals if not ideal >> x & 1]) + (n,)
     child.names = None
     child._hash = hash((n + 1, child.above))
     return child

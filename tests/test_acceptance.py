@@ -27,7 +27,6 @@ from promotion_sorting import (
     build_w_poset,
     chain,
     composition_matrices,
-    cumulative_gf,
     frozen_set,
     generate_posets,
     irf_bound,
@@ -67,7 +66,7 @@ def _verdict(num: int, ok: bool, detail: str) -> bool:
 def test_criterion_01_lambda_generating_functions():
     t0 = time.perf_counter()
     f_ok = sorting_gf(LAMBDA).trimmed() == (2, 4)
-    g_ok = cumulative_gf(LAMBDA).coeffs == (2, 6, 6)
+    g_ok = sorting_gf(LAMBDA).cumulative().coeffs == (2, 6, 6)
     orders = {labels: order(LAMBDA, labels) for labels in permutations((1, 2, 3))}
     table_ok = orders == TABLE1
     us = (time.perf_counter() - t0) * 1e6
@@ -109,7 +108,7 @@ def test_criterion_03_w_poset_count():
 def test_criterion_04_unimodality_counterexample():
     t0 = time.perf_counter()
     f = sorting_gf(T222)
-    g = cumulative_gf(T222)
+    g = f.cumulative()
     f_ok = f.trimmed() == (8, 64, 216, 192, 240) and not sequence_shape(f.coeffs).unimodal
     g_ok = g.coeffs == (8, 72, 288, 480, 720, 720) and sequence_shape(g.coeffs).log_concave
     s = time.perf_counter() - t0
@@ -253,7 +252,7 @@ def test_criterion_09_pedestal():
         for l in (1, 2, 3):
             ped = ordinal_sum(chain(l), base)
             f = sorting_gf(ped).coeffs
-            g = cumulative_gf(ped).coeffs
+            g = sorting_gf(ped).cumulative().coeffs
             tails = pedestal_coeffs(base.n, l)
             total = base.n + l
             tails_ok = tails_ok and all(

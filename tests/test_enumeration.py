@@ -15,7 +15,6 @@ from promotion_sorting import (
     basins,
     build_w_poset,
     chain,
-    cumulative_gf,
     funnel_and_basins,
     generate_posets,
     is_natural,
@@ -37,31 +36,31 @@ THREE_BASINS = Poset(6, [(0, 3), (1, 4), (2, 5)])
 def test_lambda_gfs():
     assert sorting_gf(LAMBDA).coeffs == (2, 4, 0)
     assert sorting_gf(LAMBDA).trimmed() == (2, 4)
-    assert cumulative_gf(LAMBDA).coeffs == (2, 6, 6)
+    assert sorting_gf(LAMBDA).cumulative().coeffs == (2, 6, 6)
 
 
 def test_t222_gfs():
     f = sorting_gf(T222)
     assert f.trimmed() == (8, 64, 216, 192, 240)
-    assert cumulative_gf(T222).coeffs == (8, 72, 288, 480, 720, 720)
+    assert sorting_gf(T222).cumulative().coeffs == (8, 72, 288, 480, 720, 720)
 
 
 def test_antichain_gf():
     assert sorting_gf(antichain(3)).coeffs == (6, 0, 0)
     assert sorting_gf(antichain(2)).coeffs == (2, 0)
-    assert cumulative_gf(antichain(3)).coeffs == (6, 6, 6)
+    assert sorting_gf(antichain(3)).cumulative().coeffs == (6, 6, 6)
 
 
 def test_two_chain_cumulative():
     assert sorting_gf(chain(2)).coeffs == (1, 1)
     assert sorting_gf(chain(3)).coeffs == (1, 3, 2)
-    assert cumulative_gf(chain(2)).coeffs == (1, 2)
+    assert sorting_gf(chain(2)).cumulative().coeffs == (1, 2)
 
 
 def test_genfun_invariants():
     for p in (LAMBDA, T222, chain(4), antichain(4)):
         f = sorting_gf(p)
-        g = cumulative_gf(p)
+        g = f.cumulative()
         assert len(f.coeffs) == p.n
         assert sum(f.coeffs) == factorial(p.n)
         assert g.coeffs == f.cumulative().coeffs

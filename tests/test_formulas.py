@@ -22,7 +22,7 @@ from promotion_sorting import (
     build_w_poset,
     chain,
     composition_matrices,
-    cumulative_gf,
+    generate_posets,
     irf_bound,
     irf_tangled_by_element,
     ordinal_sum,
@@ -53,15 +53,28 @@ def test_attach_quoted_vectors():
 def test_attach_matches_brute_force(k):
     stacked = ordinal_sum(antichain(k), LAMBDA)
     assert attach_antichain(sorting_gf(LAMBDA), k).coeffs == sorting_gf(stacked).coeffs
-    got = attach_antichain(cumulative_gf(LAMBDA), k, mode="cumulative")
-    assert got.coeffs == cumulative_gf(stacked).coeffs
+    got = attach_antichain(sorting_gf(LAMBDA).cumulative(), k, mode="cumulative")
+    assert got.coeffs == sorting_gf(stacked).cumulative().coeffs
 
 
-def test_attach_other_bases():
-    for base in (chain(3), V3, antichain(2)):
-        for k in (1, 2):
-            stacked = ordinal_sum(antichain(k), base)
-            assert attach_antichain(sorting_gf(base), k).coeffs == sorting_gf(stacked).coeffs
+def test_attach_matches_enumeration_on_every_catalog_ordinal_sum():
+    # every poset A_k + Q with n <= 6: its k minimal elements lie below every
+    # other element, and Q, the subposet the others induce, is not empty
+    checked = 0
+    for n in range(2, 7):
+        for p in generate_posets(n).entries:
+            rest = [x for x in range(n) if x not in p.minimals]
+            rest_mask = sum(1 << x for x in rest)
+            if not rest or any(p.above[m] != rest_mask for m in p.minimals):
+                continue
+            k = len(p.minimals)
+            f, g = sorting_gf(p.induced(rest)[0]), sorting_gf(p)
+            assert attach_antichain(f, k).coeffs == g.coeffs, p.covers
+            got = attach_antichain(f.cumulative(), k, mode="cumulative")
+            assert got.coeffs == g.cumulative().coeffs, p.covers
+            checked += 1
+    # one poset per k and nonempty Q: the sum of A000112(n - k) over k < n
+    assert checked == 1 + 3 + 8 + 24 + 87
 
 
 def test_attach_validation():
@@ -296,7 +309,7 @@ def test_irf_bound_cap():
 def test_pedestal_tails_match_brute(base, l):
     ped = ordinal_sum(chain(l), base)
     f = sorting_gf(ped).coeffs
-    g = cumulative_gf(ped).coeffs
+    g = sorting_gf(ped).cumulative().coeffs
     tails = pedestal_coeffs(base.n, l)
     total = base.n + l
     assert len(tails.b_tail) == l + 1 and len(tails.a_tail) == l
@@ -359,7 +372,7 @@ def test_ordinal_sum_g_values():
     [(2, 2, 2), (1, 2, 3), (3, 2, 1), (3, 1, 2), (2, 3), (1, 1, 1, 1), (4, 2), (2, 4)])
 def test_ordinal_sum_g_matches_brute(sizes):
     got = ordinal_sum_antichains_g(sizes).coeffs
-    assert got == cumulative_gf(_stack_top_down(sizes)).coeffs
+    assert got == sorting_gf(_stack_top_down(sizes)).cumulative().coeffs
 
 
 def test_ordinal_sum_g_log_concave():

@@ -23,6 +23,7 @@ from promotion_sorting import (
     canonicalize,
     chain,
     check_conjectures,
+    disjoint_union,
     generate_posets,
     load_catalog,
     ordinal_sum,
@@ -31,8 +32,9 @@ from promotion_sorting import (
     scan_catalog,
 )
 from promotion_sorting.cli import main
-from promotion_sorting.harness import (_extend_by_maximal, _grow_task, _orbit_ideal_masks,
-                                       poset_levels)
+from promotion_sorting.enumeration import _check_budget
+from promotion_sorting.harness import (CANON_MAX_N, _extend_by_maximal, _grow_task,
+                                       _orbit_ideal_masks, _refined_classes, poset_levels)
 from promotion_sorting.posets import _bits
 
 LAMBDA = Poset(3, [(0, 2), (1, 2)])
@@ -246,6 +248,106 @@ def test_canonicalize_prefix_and_budget():
     assert canonicalize(chain(11), force=True).startswith(b"11:")
 
 
+# The refinement and search as they stood before the singleton keys, the
+# stop rule, the digit table and the discrete read-off, kept verbatim as the
+# oracle for those four.
+
+def _reference_rank(values: list) -> list[int]:
+    """Each value's index among the sorted distinct values."""
+    ranks = {v: i for i, v in enumerate(sorted(set(values)))}
+    return [ranks[v] for v in values]
+
+
+def _reference_refined_classes(p: Poset) -> list[int]:
+    """Stable invariant class per element, identical across isomorphic posets."""
+    n = p.n
+    cover_up: list[list[int]] = [[] for _ in range(n)]
+    cover_down: list[list[int]] = [[] for _ in range(n)]
+    for a, b in p.covers:
+        cover_up[a].append(b)
+        cover_down[b].append(a)
+    classes = _reference_rank([
+        (p.below[x].bit_count(), p.above[x].bit_count(), p.heights[x],
+         len(cover_up[x]), len(cover_down[x]))
+        for x in range(n)
+    ])
+    while True:
+        new = _reference_rank([
+            (classes[x],
+             tuple(sorted(classes[y] for y in cover_up[x])),
+             tuple(sorted(classes[y] for y in cover_down[x])))
+            for x in range(n)
+        ])
+        if new == classes:
+            return classes
+        classes = new
+
+
+def _reference_canonicalize(p: Poset, force: bool = False) -> bytes:
+    """Canonical byte string: equal exactly for isomorphic posets."""
+    _check_budget(p.n, force, cap=CANON_MAX_N, what="canonicalized poset elements")
+    n = p.n
+    classes = _reference_refined_classes(p)
+    members: dict[int, list[int]] = {}
+    for x in range(n):
+        members.setdefault(classes[x], []).append(x)
+    blocks = sorted(classes)
+    above, below = p.above, p.below
+
+    def search(placed: list[int], used: int) -> tuple:
+        if len(placed) == n:
+            return ()
+        best = None
+        chosen: list[int] = []
+        # Elements with equal strict up- and down-sets are incomparable twins
+        # with equal signatures: swapping two is an automorphism, so only the
+        # first free member of each twin set is tried.
+        twins = set()
+        for e in members[blocks[len(placed)]]:
+            twin = (above[e], below[e])
+            if used >> e & 1 or twin in twins:
+                continue
+            twins.add(twin)
+            sig = tuple(
+                2 if below[e] >> q & 1 else (1 if above[e] >> q & 1 else 0)
+                for q in placed)
+            if best is None or sig < best:
+                best, chosen = sig, [e]
+            elif sig == best:
+                chosen.append(e)
+        return best + min(search([*placed, e], used | 1 << e) for e in chosen)
+
+    return f"{n}:".encode() + bytes(search([], 0))
+
+
+def _random_poset(n, seed):
+    """A poset on ``n`` elements generated by random pairs i < j, relabeled."""
+    rng = random.Random(seed)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    pairs = [(perm[i], perm[j]) for i, j in combinations(range(n), 2) if rng.random() < 0.15]
+    return Poset(n, pairs)
+
+
+def test_canonical_forms_match_the_reference():
+    posets = [child for _, _, child in _children(6)]
+    posets += generate_posets(7).entries
+    assert len(posets) == 6377 + 2045
+    for p in posets:
+        assert _refined_classes(p) == _reference_refined_classes(p), p.covers
+        assert canonicalize(p) == _reference_canonicalize(p), p.covers
+    # over CANON_MAX_N elements the digit rows span more than one spread chunk;
+    # antichains and stacked antichains branch only on twins, the others on
+    # non-twin ties too
+    wide = [chain(11), antichain(12), ordinal_sum(antichain(3), antichain(9)),
+            disjoint_union(chain(6), chain(6)),
+            disjoint_union(build_w_poset(WParams(1, 1, 1, 1)), build_w_poset(WParams(1, 1, 1, 1))),
+            *(_random_poset(n, seed) for n in (11, 12, 14) for seed in range(4))]
+    for p in wide:
+        assert _refined_classes(p) == _reference_refined_classes(p), p.covers
+        assert canonicalize(p, force=True) == _reference_canonicalize(p, force=True), p.covers
+
+
 def test_generation_determinism_and_order():
     a = generate_posets(4)
     b = generate_posets(4)
@@ -282,6 +384,11 @@ def test_connected_catalog_8_is_pinned(tmp_path):
     assert data.count(b"\n") == 14512
     assert hashlib.sha256(data).hexdigest() == (
         "3177e1e8bf1771253ae2d71ce80c06656a2fea3ef1c7daea207a80817a29fdde")
+
+
+@pytest.mark.slow
+def test_connected_catalog_9_matches_oeis():
+    assert len(generate_posets(9, connected=True, force=True, workers=2)) == 163341
 
 
 def test_generation_budget():
