@@ -136,10 +136,12 @@ def _run_chunks(worker, tasks, workers: int):
     results back through ``imap`` in batches of the size ``Pool.map`` would
     use, so a caller can consume each result as it arrives.  With a single
     process the tasks run in this process and no pool starts.  A worker
-    count below 1 is a ``ValueError``.
+    count that is not an ``int`` of at least 1 (a ``bool`` is not one) is a
+    ``ValueError``.
     """
-    if workers < 1:
-        raise ValueError(f"worker count must be at least 1, got {workers}")
+    if type(workers) is not int or workers < 1:
+        raise ValueError(f"worker count must be an integer of at least 1, "
+                         f"got {_short_repr(workers)}")
     processes = min(workers, os.cpu_count() or 1, len(tasks))
     if processes <= 1:
         yield from map(worker, tasks)
@@ -182,8 +184,9 @@ def sorting_gf(p: Poset, workers: int = 1, force: bool = False) -> GenFun:
     """Coefficient i counts the labelings with sorting time exactly i.
 
     Walks the inverse-promotion forest from the natural labelings (see the
-    module docstring), one task per root tail; coefficients sum to n! and
-    index n - 1 counts the tangled labelings.
+    module docstring), one task per root tail; coefficients sum to n! and,
+    for n >= 2, index n - 1 counts the tangled labelings.  At n = 1, f is
+    (1,) but the one labeling is not tangled: its element is no basin.
     """
     _check_budget(p.n, force)
     tails = [(a, b) for b in p.maximals for a in range(p.n)

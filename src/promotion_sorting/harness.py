@@ -56,10 +56,11 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterator
 
-from .enumeration import (_check_budget, _run_chunks, sequence_shape, sorting_gf,
-                          tangled_report)
+from .enumeration import (TangleReport, _check_budget, _run_chunks, sequence_shape,
+                          sorting_gf, tangled_report)
 from .formulas import CLOSED_FORM_MAX_N
-from .posets import Poset, _bits, funnel_and_basins, poset_from_json, poset_to_json
+from .posets import (Poset, _bits, _check_ints, funnel_and_basins, poset_from_json,
+                     poset_to_json)
 from .promotion import InternalError
 
 CANON_MAX_N = 10
@@ -263,6 +264,7 @@ def poset_levels(max_n: int, connected: bool = False, force: bool = False,
     yielded level is a tuple sorted by canonical form, so catalogs are
     deterministic.
     """
+    _check_ints(ValueError, max_n=max_n)
     _check_budget(max_n, force, cap=GENERATION_MAX_N, what="catalog poset elements")
     if max_n < 1:
         raise ValueError("catalogs need n >= 1")
@@ -321,27 +323,10 @@ def load_catalog(path) -> PosetCatalog:
 # -- conjecture checks -------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ConjectureReport:
-    """Evidence for the three tangled-count bounds on one poset.
+class ConjectureReport(TangleReport):
+    """A poset's tangled counts (see ``TangleReport``) and the checks of
+    ``ALL_CHECKS`` they fail, in that order."""
 
-    ``by_element[x]`` counts tangled labelings with label n - 1 on x.  The
-    per-element bound is (n-2)! with equality predicted exactly when x lies
-    in a funnel (one minimal element sits below it); the aggregate bounds
-    are (n-m)(n-2)! for m minimal elements and (n-1)! overall.  ``failed``
-    names the checks of ``ALL_CHECKS`` that do not hold, in that order:
-    n-2 fails when a count exceeds its bound or breaks the equality rule.
-    ``tangled_report`` credits each funnel element (n-2)! by the
-    tangled-chain lemma (see the ``enumeration`` module docstring), so
-    "funnel => (n-2)!" holds by that proof; the enumeration tests the bound
-    and the strict inequality off the funnels.
-    """
-
-    by_element: tuple
-    total: int
-    per_element_bound: int
-    equality_expected: tuple
-    hodges_bound: int
-    total_bound: int
     failed: tuple
 
     @property
@@ -350,31 +335,25 @@ class ConjectureReport:
 
 
 def check_conjectures(p: Poset, force: bool = False) -> ConjectureReport:
-    """Exhaustively test the tangled-count bounds on one poset (n >= 2);
-    funnel blocks are counted, not searched (see ``ConjectureReport``)."""
+    """Exhaustively test the tangled-count bounds on one poset (n >= 2).
+
+    n-2 holds when every element's count is at most (n-2)!, with equality
+    exactly on the funnel elements (the non-minimal elements above exactly
+    one minimal element); hodges when the total is at most (n-m)(n-2)! for
+    m minimal elements; n-1 when it is at most (n-1)!.
+    """
     report = tangled_report(p, force=force)
     n = p.n
-    m = len(p.minimals)
     bound = math.factorial(n - 2)
     in_funnel = frozenset().union(*funnel_and_basins(p).values())
-    expected = tuple(x in in_funnel for x in range(n))
-    counts = report.by_element
-    hodges_bound = (n - m) * bound
-    total_bound = math.factorial(n - 1)
     holds = (
-        all(c <= bound and (c == bound) == e for c, e in zip(counts, expected)),
-        report.total <= hodges_bound,
-        report.total <= total_bound,
+        all(c <= bound and (c == bound) == (x in in_funnel)
+            for x, c in enumerate(report.by_element)),
+        report.total <= (n - len(p.minimals)) * bound,
+        report.total <= math.factorial(n - 1),
     )
-    return ConjectureReport(
-        by_element=counts,
-        total=report.total,
-        per_element_bound=bound,
-        equality_expected=expected,
-        hodges_bound=hodges_bound,
-        total_bound=total_bound,
-        failed=tuple(check for check, ok in zip(ALL_CHECKS, holds) if not ok),
-    )
+    return ConjectureReport(report.by_element,
+                            tuple(check for check, ok in zip(ALL_CHECKS, holds) if not ok))
 
 
 @dataclass(frozen=True)
@@ -407,16 +386,14 @@ def _scan_one(args):
 
 def scan_catalog(catalog: PosetCatalog, unimodal: bool = False, workers: int = 1,
                  force: bool = False) -> ScanReport:
-    """Run every check of ``ALL_CHECKS`` over each catalog entry with n >= 2.
+    """Run :func:`check_conjectures` over each catalog entry with n >= 2.
 
-    n-2 is the per-element bound plus its equality characterization, hodges
-    the (n-m)(n-2)! aggregate and n-1 the (n-1)! aggregate.  Each bound
-    implies the next, so a failing poset always fails n-2; its report's
-    ``failed`` names every bound it breaks.  With ``unimodal=True`` the
-    sorting generating functions are additionally scanned and non-unimodal
-    instances reported; those are informational, not failures.  f's top
-    coefficient must equal the tangled count, or the two routes disagree:
-    ``InternalError``.
+    Each bound implies the next, so a failing poset always fails n-2; its
+    report's ``failed`` names every bound it breaks.  With ``unimodal=True``
+    the sorting generating functions are additionally scanned and
+    non-unimodal instances reported; those are informational, not failures.
+    From n = 2 on, f's top coefficient must equal the tangled count, or the
+    two routes disagree: ``InternalError``.
     """
     tasks = [(p, unimodal, force) for p in catalog.entries]
     results = list(_run_chunks(_scan_one, tasks, workers))

@@ -1,5 +1,6 @@
 """Brute-force enumeration: generating functions, tangled reports, task lists."""
 
+import re
 from itertools import permutations
 from math import factorial
 
@@ -138,14 +139,19 @@ def test_worker_count_is_clamped(monkeypatch):
     monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 64)
     assert scan_catalog(cat, workers=1000) == scan_catalog(cat)
     assert asked == [3, 3, 2, 3, 3, len(cat)]
-    for bad in (0, -3):
-        with pytest.raises(ValueError):
+    # a worker count is a plain int: floats, strings and bools are refused
+    # before any pool starts, chain(3) with no task to dispatch included
+    for bad in (0, -3, 2.0, "2", True):
+        match = re.escape(f"worker count must be an integer of at least 1, got {bad!r}")
+        with pytest.raises(ValueError, match=match):
             sorting_gf(T222, workers=bad)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=match):
             tangled_report(T222, workers=bad)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=match):
+            tangled_report(chain(3), workers=bad)
+        with pytest.raises(ValueError, match=match):
             scan_catalog(cat, workers=bad)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=match):
             generate_posets(5, workers=bad)
     assert asked == [3, 3, 2, 3, 3, len(cat)]
 

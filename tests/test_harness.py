@@ -6,6 +6,7 @@ then collapse isomorphism by minimizing over all n! relabelings.  Catalog
 counts and canonical-form partitions must agree with it exactly.
 """
 
+import dataclasses
 import hashlib
 import pickle
 import random
@@ -16,6 +17,7 @@ import pytest
 
 from promotion_sorting import (
     BudgetError,
+    ConjectureReport,
     Poset,
     WParams,
     antichain,
@@ -33,9 +35,10 @@ from promotion_sorting import (
 )
 from promotion_sorting.cli import main
 from promotion_sorting.enumeration import _check_budget
-from promotion_sorting.harness import (CANON_MAX_N, _extend_by_maximal, _grow_task,
-                                       _orbit_ideal_masks, _refined_classes, poset_levels)
-from promotion_sorting.posets import _bits
+from promotion_sorting.harness import (ALL_CHECKS, CANON_MAX_N, _extend_by_maximal,
+                                       _grow_task, _orbit_ideal_masks, _refined_classes,
+                                       poset_levels)
+from promotion_sorting.posets import _bits, funnel_and_basins
 
 LAMBDA = Poset(3, [(0, 2), (1, 2)])
 V3 = Poset(3, [(0, 1), (0, 2)])
@@ -396,6 +399,9 @@ def test_generation_budget():
         generate_posets(9)
     with pytest.raises(ValueError):
         generate_posets(0)
+    for size in (2.5, 3.0, True, "3", None):
+        with pytest.raises(ValueError, match="max_n must be an integer"):
+            generate_posets(size)
 
 
 def test_catalog_save_load_roundtrip(tmp_path):
@@ -454,20 +460,19 @@ def test_catalog_load_refuses_before_building(tmp_path):
 def test_check_conjectures_lambda():
     report = check_conjectures(LAMBDA)
     assert report.total == 0
+    # the apex sits above two minimal elements, so (n-2)! = 1 is not attained
     assert report.by_element == (0, 0, 0)
-    assert report.per_element_bound == 1
-    # the apex sits above two minimal elements, so the cap is not attained
-    assert report.equality_expected == (False, False, False)
+    assert report.failed == ()
     assert report.passed
 
 
 def test_check_conjectures_chain():
     report = check_conjectures(chain(4))
-    assert report.per_element_bound == 2
+    # every non-minimal element of a chain lies in the funnel: (n-2)! = 2 each
     assert report.by_element == (0, 2, 2, 2)
-    assert report.equality_expected == (False, True, True, True)
-    assert report.total == 6 == report.total_bound
-    assert report.hodges_bound == 6
+    # the total attains both (n-m)(n-2)! and (n-1)!, which coincide at m = 1
+    assert report.total == 6 == factorial(3)
+    assert report.failed == ()
     assert report.passed
 
 
@@ -476,8 +481,63 @@ def test_check_conjectures_w_poset():
     report = check_conjectures(w)
     assert report.total == 34412
     assert sorted(report.by_element) == [0, 0, 4172] + [5040] * 6
-    assert report.per_element_bound == 5040
+    assert report.failed == ()
     assert report.passed
+
+
+def test_conjecture_report_holds_only_the_verdict():
+    assert [f.name for f in dataclasses.fields(ConjectureReport)] == ["by_element", "failed"]
+    report = ConjectureReport((0, 2, 3), ("n-2",))
+    assert report.total == 5
+    assert not report.passed
+
+
+def _reference_failed(p, counts):
+    """The checks ``counts`` fail on ``p``, by the bound arithmetic that
+    ``check_conjectures`` used when its report stored every bound."""
+    n = p.n
+    m = len(p.minimals)
+    bound = factorial(n - 2)
+    in_funnel = frozenset().union(*funnel_and_basins(p).values())
+    expected = tuple(x in in_funnel for x in range(n))
+    total = sum(counts)
+    hodges_bound = (n - m) * bound
+    total_bound = factorial(n - 1)
+    holds = (
+        all(c <= bound and (c == bound) == e for c, e in zip(counts, expected)),
+        total <= hodges_bound,
+        total <= total_bound,
+    )
+    return tuple(check for check, ok in zip(ALL_CHECKS, holds) if not ok)
+
+
+def test_check_conjectures_matches_the_reference_bounds(monkeypatch):
+    # every poset with n <= 6, each element's count skewed in turn by -1, +1
+    # and (n-1)!, fed through a stand-in tangled_report
+    import promotion_sorting.harness as harness
+    from promotion_sorting import TangleReport, tangled_report
+
+    fed = []
+    monkeypatch.setattr(harness, "tangled_report", lambda p, **kwargs: TangleReport(fed[-1]))
+    verdicts = set()
+    for n in range(2, 7):
+        for p in generate_posets(n).entries:
+            counts = tangled_report(p).by_element
+            for x in range(n):
+                for delta in (-1, 1, factorial(n - 1)):
+                    skewed = list(counts)
+                    skewed[x] += delta
+                    fed.append(tuple(skewed))
+                    report = check_conjectures(p)
+                    assert report.by_element == fed[-1]
+                    assert report.failed == _reference_failed(p, fed[-1])
+                    verdicts.add(report.failed)
+            fed.append(counts)
+            assert check_conjectures(p).failed == _reference_failed(p, counts) == ()
+    # stand-in counts need not nest the bounds as true counts do, so the
+    # skews reach verdicts without n-2 too (an antichain has a zero hodges bound)
+    assert verdicts == {(), ("n-2",), ("n-2", "hodges"), ("n-2", "hodges", "n-1"),
+                        ("hodges",), ("hodges", "n-1")}
 
 
 def test_check_conjectures_too_small():
