@@ -128,6 +128,14 @@ def sequence_shape(values: Sequence[int]) -> SequenceShape:
 
 # -- task dispatch -------------------------------------------------------------
 
+def _check_workers(workers) -> None:
+    """A worker count that is not an ``int`` of at least 1 (a ``bool`` is not
+    one) is a ``ValueError``."""
+    if type(workers) is not int or workers < 1:
+        raise ValueError(f"worker count must be an integer of at least 1, "
+                         f"got {_short_repr(workers)}")
+
+
 def _run_chunks(worker, tasks, workers: int):
     """Yield ``worker(t)`` for each of ``tasks``, in task order, on a process
     pool when that can help.
@@ -135,13 +143,10 @@ def _run_chunks(worker, tasks, workers: int):
     The pool gets at most one process per task and per CPU, and streams the
     results back through ``imap`` in batches of the size ``Pool.map`` would
     use, so a caller can consume each result as it arrives.  With a single
-    process the tasks run in this process and no pool starts.  A worker
-    count that is not an ``int`` of at least 1 (a ``bool`` is not one) is a
-    ``ValueError``.
+    process the tasks run in this process and no pool starts.  The worker
+    count passes :func:`_check_workers` first.
     """
-    if type(workers) is not int or workers < 1:
-        raise ValueError(f"worker count must be an integer of at least 1, "
-                         f"got {_short_repr(workers)}")
+    _check_workers(workers)
     processes = min(workers, os.cpu_count() or 1, len(tasks))
     if processes <= 1:
         yield from map(worker, tasks)

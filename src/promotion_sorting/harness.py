@@ -7,9 +7,14 @@ pairwise relation encoding (for each element, its relation to every earlier
 element: incomparable 0, below 1, above 2).  Ties between interchangeable
 twin elements are collapsed, which keeps highly symmetric posets cheap.
 
-Three shortcuts leave every class and every byte as the plain refinement
+Four shortcuts leave every class and every byte as the plain refinement
 and search would give them:
 
+- Packed initial keys.  The first ranking is over each element's (elements
+  below, elements above, height, upper covers, lower covers).  Each count
+  is at most n - 1, so it fits a digit of (n - 1).bit_length() bits, and
+  the five digits are packed into one int, the first most significant.
+  Equal-length digit strings order as the tuples do, so the ranks agree.
 - Singleton keys.  Each refinement round ranks the elements by (class,
   sorted cover classes above, sorted cover classes below).  The class comes
   first, so a key's rank is the number of distinct keys in lower classes
@@ -18,14 +23,18 @@ and search would give them:
   same rank.
 - The stop rule.  Each round splits classes and keeps their order, so the
   ranks are unchanged exactly when the class count is; refinement stops
-  when the count stops growing, or reaches n, where nothing can split.
+  when the count stops growing, or reaches n, where nothing can split.  It
+  also stops when each class is one twin set (twins are elements with equal
+  up- and down-sets): twins have the same covers, so they keep equal keys.
 - Forced positions and the read-off.  The search fixes the element order
   position by position.  It compares relation digits, sliced from one
   table row per element, only where a class offers two candidates that
   are not twins.  Where one candidate is left, it is placed without a
-  branch, so a discrete refinement is read off along the class order with
-  no search.  The orders below a branch share their digits up to it, so
-  the least full form has the least tail.
+  branch.  When each class is one twin set, a discrete refinement
+  included, every position is forced: the form is read off along the class
+  order, members in index order, with no search.  The orders below a
+  branch share their digits up to it, so the least full form has the
+  least tail.
 
 Catalogs grow level by level: every poset on n + 1 elements is a poset on
 n elements plus a new maximal element whose strict down-set is a lower
@@ -46,6 +55,23 @@ neither skip changes a representative:
   every component.  Isomorphic children are both connected or both not, so
   a connected-only level tries only those ideals and keeps the first mask
   of every connected class.
+
+No child is built to compute its form.  The child over I differs from its
+parent only at the elements of I and at the new element n.  Each element of
+I gains n above it, and each maximal element of I also gains n as an upper
+cover.  Nothing else changes: n lies above everything it is compared with,
+so it falls between no two elements, and heights count up from the minimal
+elements.  The element n has I below it, nothing above, the maximal
+elements of I as its lower covers, and a height one more than the highest
+of them (0 when I is empty).  So growth packs the parent's initial keys
+once, in the digit width of the child's size, and per ideal adds one to
+the above digit of each element of I and to the upper-cover digit of each
+maximal one; no digit can carry, since each count stays at most n.  Each
+cover list is shared with the parent except at those maximal elements.
+Each relation row is the parent's with a 1 (in I) or a 0 in column n and
+the constant 0 after it, and n's row has a 2 in each column of I.  These
+are the inputs ``canonicalize`` would build from the child itself, so the
+form is the same byte string.
 """
 
 from __future__ import annotations
@@ -56,8 +82,8 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterator
 
-from .enumeration import (TangleReport, _check_budget, _run_chunks, sequence_shape,
-                          sorting_gf, tangled_report)
+from .enumeration import (TangleReport, _check_budget, _check_workers, _run_chunks,
+                          sequence_shape, sorting_gf, tangled_report)
 from .formulas import CLOSED_FORM_MAX_N
 from .posets import (Poset, _bits, _check_ints, funnel_and_basins, poset_from_json,
                      poset_to_json)
@@ -78,18 +104,37 @@ def _rank(values: list) -> list[int]:
     return [ranks[v] for v in values]
 
 
-def _refined_classes(p: Poset) -> list[int]:
-    """Stable invariant class per element, identical across isomorphic posets."""
-    n = p.n
+def _digit_width(n: int) -> int:
+    """Bits per digit of an initial key on n elements: each count is at most n - 1."""
+    return (n - 1).bit_length()
+
+
+def _cover_lists(n: int, covers) -> tuple[list, list]:
+    """Each element's upper covers and lower covers."""
     cover_up: list[list[int]] = [[] for _ in range(n)]
     cover_down: list[list[int]] = [[] for _ in range(n)]
-    for a, b in p.covers:
+    for a, b in covers:
         cover_up[a].append(b)
         cover_down[b].append(a)
-    classes = _rank(list(zip(map(int.bit_count, p.below), map(int.bit_count, p.above),
-                             p.heights, map(len, cover_up), map(len, cover_down))))
+    return cover_up, cover_down
+
+
+def _initial_keys(p: Poset, cover_up: list, cover_down: list, width: int) -> list[int]:
+    """Each element's (elements below, elements above, height, upper covers,
+    lower covers), packed most significant first in ``width``-bit digits."""
+    return [(((b.bit_count() << width | a.bit_count()) << width | h) << width | len(u)) << width
+            | len(d) for a, b, h, u, d in zip(p.above, p.below, p.heights, cover_up, cover_down)]
+
+
+def _refine(keys: list[int], cover_up: list, cover_down: list, twins: list) -> list[int]:
+    """Classes ranked from the initial ``keys``, then refined by the sorted
+    classes of each element's upper and lower covers until no class can
+    split; ``twins[x] == twins[y]`` exactly when x and y are twins."""
+    n = len(keys)
+    classes = _rank(keys)
     count = max(classes) + 1
-    while count < n:
+    # a round can split only a class holding two elements that are not twins
+    while count < n and len(set(zip(classes, twins))) > count:
         size = [0] * count
         for c in classes:
             size[c] += 1
@@ -104,6 +149,13 @@ def _refined_classes(p: Poset) -> list[int]:
             break
         classes, count = new, grown
     return classes
+
+
+def _refined_classes(p: Poset) -> list[int]:
+    """Stable invariant class per element, identical across isomorphic posets."""
+    cover_up, cover_down = _cover_lists(p.n, p.covers)
+    return _refine(_initial_keys(p, cover_up, cover_down, _digit_width(p.n)),
+                   cover_up, cover_down, list(zip(p.above, p.below)))
 
 
 def _spread_table(bits: int) -> tuple:
@@ -128,16 +180,35 @@ def _spread(mask: int) -> int:
     return spread
 
 
-def canonicalize(p: Poset, force: bool = False) -> bytes:
-    """Canonical byte string: equal exactly for isomorphic posets."""
-    _check_budget(p.n, force, cap=CANON_MAX_N, what="canonicalized poset elements")
-    n = p.n
-    classes = _refined_classes(p)
-    # rows[e][q] is e's relation digit to q.  Column n is a constant 0, so
-    # itemgetter(*placed, n) needs no case for an empty ``placed``.
-    spread = _SPREAD.__getitem__ if n <= _SPREAD_BITS else _spread
-    rows = [(2 * spread(b) + spread(a)).to_bytes(n + 1, "little")
+def _digit_rows(p: Poset, length: int) -> list[bytes]:
+    """Each element's relation digit to every element q in byte q (below 2,
+    above 1, else 0), padded with zero bytes to ``length``."""
+    spread = _SPREAD.__getitem__ if p.n <= _SPREAD_BITS else _spread
+    return [(2 * spread(b) + spread(a)).to_bytes(length, "little")
             for a, b in zip(p.above, p.below)]
+
+
+def _canonical_form(classes: list[int], rows: list[bytes]) -> bytes:
+    """The least relation encoding over the element orders that follow
+    ``classes``, read off with no search when every position is forced.
+
+    ``rows[e][q]`` is e's relation digit to q, so rows are equal exactly for
+    twins.  Column n is a constant 0, so ``itemgetter(*placed, n)`` needs no
+    case for an empty ``placed``.
+    """
+    n = len(classes)
+
+    def read_off(placed: list[int]) -> list[int]:
+        pick = itemgetter(*placed, n)
+        form: list[int] = []
+        for k, e in enumerate(placed):
+            form += pick(rows[e])[:k]
+        return form
+
+    count = max(classes) + 1
+    if count == n or len(set(zip(classes, rows))) == count:
+        # each class is one twin set, so every position is forced
+        return f"{n}:".encode() + bytes(read_off(sorted(range(n), key=classes.__getitem__)))
     members: dict[int, list[int]] = {}
     for x in range(n):
         members.setdefault(classes[x], []).append(x)
@@ -167,13 +238,15 @@ def canonicalize(p: Poset, force: bool = False) -> bytes:
                 candidates = chosen
             placed.append(candidates[0])
             used |= 1 << candidates[0]
-        pick = itemgetter(*placed, n)
-        form: list[int] = []
-        for k, e in enumerate(placed):
-            form += pick(rows[e])[:k]
-        return form
+        return read_off(placed)
 
     return f"{n}:".encode() + bytes(search([], 0))
+
+
+def canonicalize(p: Poset, force: bool = False) -> bytes:
+    """Canonical byte string: equal exactly for isomorphic posets."""
+    _check_budget(p.n, force, cap=CANON_MAX_N, what="canonicalized poset elements")
+    return _canonical_form(_refined_classes(p), _digit_rows(p, p.n + 1))
 
 
 # -- isomorphism-free generation -------------------------------------------------
@@ -241,13 +314,50 @@ def _grow_task(args) -> list[tuple[bytes, int]]:
     """``(canonical form, ideal mask)`` of the first child of ``p`` in each
     isomorphism class, children taken one per lower ideal in mask order;
     one ideal per twin orbit is tried, and with ``connected`` only the
-    ideals giving connected children (see the module docstring)."""
+    ideals giving connected children (see the module docstring).
+
+    Each child's refinement inputs and digit rows are the parent's, changed
+    only on the ideal's elements and the new element n; no child is built.
+    """
     p, connected, force = args
+    n = p.n
+    _check_budget(n + 1, force, cap=CANON_MAX_N, what="canonicalized poset elements")
     components = p.components() if connected else ()
+    elements = [(e, 1 << e, above, h + 1) for e, (above, h) in enumerate(zip(p.above, p.heights))]
+    cover_up, cover_down = _cover_lists(n, p.covers)
+    width = _digit_width(n + 1)
+    keys = _initial_keys(p, cover_up, cover_down, width)
+    # an element of the ideal gains n above it; a maximal one gains n as a cover too
+    in_ideal = 1 << 3 * width
+    ideal_top = in_ideal | 1 << width
+    up_with_n = [[*ups, n] for ups in cover_up]
+    rows = [(row + b"\0\0", row + b"\1\0") for row in _digit_rows(p, n)]
+    spread = _SPREAD.__getitem__ if n <= _SPREAD_BITS else _spread
     firsts: dict[bytes, int] = {}
     for mask in _orbit_ideal_masks(p):
-        if all(mask & c for c in components):
-            firsts.setdefault(canonicalize(_extend_by_maximal(p, mask), force=force), mask)
+        if not all(mask & c for c in components):
+            continue
+        child_keys = keys[:]
+        child_up = cover_up[:]
+        tops = []
+        height = 0
+        for e, bit, above, h in elements:
+            if not mask & bit:
+                continue
+            if above & mask:
+                child_keys[e] += in_ideal
+            else:
+                child_keys[e] += ideal_top
+                child_up[e] = up_with_n[e]
+                tops.append(e)
+                height = max(height, h)
+        child_keys.append(mask.bit_count() << 4 * width | height << 2 * width | len(tops))
+        child_up.append(())
+        child_rows = [pair[mask >> e & 1] for e, pair in enumerate(rows)]
+        child_rows.append((2 * spread(mask)).to_bytes(n + 2, "little"))
+        classes = _refine(child_keys, child_up, [*cover_down, tops], child_rows)
+        form = _canonical_form(classes, child_rows)
+        firsts.setdefault(form, mask)
     return list(firsts.items())
 
 
@@ -265,6 +375,7 @@ def poset_levels(max_n: int, connected: bool = False, force: bool = False,
     deterministic.
     """
     _check_ints(ValueError, max_n=max_n)
+    _check_workers(workers)
     _check_budget(max_n, force, cap=GENERATION_MAX_N, what="catalog poset elements")
     if max_n < 1:
         raise ValueError("catalogs need n >= 1")

@@ -304,16 +304,20 @@ def is_loi_complete(p: Poset, x: int) -> bool:
 
 # -- canonical JSON interchange ---------------------------------------------
 
+_JSON = json.JSONEncoder(separators=(", ", ": "))
+
+
 def poset_to_json(p: Poset) -> str:
     """Canonical one-line JSON document for a poset.
 
     Covers are emitted sorted lexicographically, so the output is byte-stable
-    and round-trips exactly through :func:`poset_from_json`.
+    and round-trips exactly through :func:`poset_from_json`.  ``json`` writes
+    the cover tuples as lists.
     """
-    doc: dict = {"n": p.n, "covers": [list(c) for c in p.covers]}
+    doc: dict = {"n": p.n, "covers": p.covers}
     if p.names is not None:
         doc["names"] = list(p.names)
-    return json.dumps(doc, separators=(", ", ": "))
+    return _JSON.encode(doc)
 
 
 def decode_json(text: str):

@@ -153,6 +153,9 @@ def test_worker_count_is_clamped(monkeypatch):
             scan_catalog(cat, workers=bad)
         with pytest.raises(ValueError, match=match):
             generate_posets(5, workers=bad)
+        # one level builds no pool, so the count is checked before it
+        with pytest.raises(ValueError, match=match):
+            generate_posets(1, workers=bad)
     assert asked == [3, 3, 2, 3, 3, len(cat)]
 
 

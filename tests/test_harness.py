@@ -215,6 +215,56 @@ def test_grow_task_prunes_no_first_child():
             (key, mask) for key, (mask, child) in firsts.items() if child.is_connected()]
 
 
+def _forms_of_built_children(p, connected):
+    """What ``_grow_task`` returns, from children built and canonicalized whole."""
+    components = p.components() if connected else ()
+    firsts = {}
+    for mask in _orbit_ideal_masks(p):
+        if all(mask & c for c in components):
+            firsts.setdefault(canonicalize(_extend_by_maximal(p, mask), force=True), mask)
+    return list(firsts.items())
+
+
+def test_grow_task_forms_match_built_children(monkeypatch):
+    import promotion_sorting.harness as harness
+
+    parents = [p for level in poset_levels(6) for p in level]
+    # over 15 elements every key digit needs more bits than at n = 8, and at
+    # 17 more than the parent's own size would give
+    parents += [chain(15), chain(16), antichain(16),
+                ordinal_sum(antichain(8), chain(8)), ordinal_sum(chain(8), antichain(8)),
+                disjoint_union(chain(8), chain(8)),
+                ordinal_sum(antichain(2), ordinal_sum(chain(13), antichain(2))),
+                *(_random_poset(n, seed) for n in (15, 16) for seed in range(3))]
+    want = {(p, connected): _forms_of_built_children(p, connected)
+            for p in parents for connected in (False, True)}
+
+    def no_child(*args):
+        raise AssertionError("growth built a child")
+
+    monkeypatch.setattr(harness, "Poset", no_child)
+    monkeypatch.setattr(harness, "_extend_by_maximal", no_child)
+    for (p, connected), pairs in want.items():
+        assert _grow_task((p, connected, True)) == pairs, (p.covers, connected)
+
+
+@pytest.mark.parametrize("n, connected, forms", [
+    pytest.param(7, False, 5070, id="7"),
+    pytest.param(7, True, 4017, id="7-connected"),
+    pytest.param(8, False, 44810, marks=pytest.mark.slow, id="8"),
+    pytest.param(8, True, 37569, marks=pytest.mark.slow, id="8-connected")])
+def test_forms_computed_per_catalog_are_pinned(monkeypatch, n, connected, forms):
+    # every canonical form, the seed's and each child's, is read off by
+    # _canonical_form once; growth must not compute more of them
+    import promotion_sorting.harness as harness
+
+    calls = []
+    form = harness._canonical_form
+    monkeypatch.setattr(harness, "_canonical_form", lambda *args: calls.append(1) or form(*args))
+    generate_posets(n, connected=connected)
+    assert len(calls) == forms
+
+
 def test_catalog_matches_brute_classes():
     brute = {canonicalize(_poset_from_masks(less, 5)) for less in _labeled_posets(5)}
     catalog = generate_posets(5)
