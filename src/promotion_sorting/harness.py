@@ -6,6 +6,9 @@ over all element orders compatible with an invariant refinement, of the
 pairwise relation encoding (for each element, its relation to every earlier
 element: incomparable 0, below 1, above 2).  Ties between interchangeable
 twin elements are collapsed, which keeps highly symmetric posets cheap.
+Forms exist for at most ``CANON_MAX_N`` elements, with no override: each
+relation row is spread through one table of 2**CANON_MAX_N entries, and
+past that size the search over non-twin ties grows factorially.
 
 Four shortcuts leave every class and every byte as the plain refinement
 and search would give them:
@@ -166,25 +169,13 @@ def _spread_table(bits: int) -> tuple:
     return tuple(table)
 
 
-_SPREAD_BITS = CANON_MAX_N
-_SPREAD = _spread_table(_SPREAD_BITS)
-
-
-def _spread(mask: int) -> int:
-    """``mask`` with bit q moved to byte q, for masks of any width."""
-    spread = shift = 0
-    while mask:
-        spread |= _SPREAD[mask & (1 << _SPREAD_BITS) - 1] << 8 * shift
-        mask >>= _SPREAD_BITS
-        shift += _SPREAD_BITS
-    return spread
+_SPREAD = _spread_table(CANON_MAX_N)
 
 
 def _digit_rows(p: Poset, length: int) -> list[bytes]:
     """Each element's relation digit to every element q in byte q (below 2,
     above 1, else 0), padded with zero bytes to ``length``."""
-    spread = _SPREAD.__getitem__ if p.n <= _SPREAD_BITS else _spread
-    return [(2 * spread(b) + spread(a)).to_bytes(length, "little")
+    return [(2 * _SPREAD[b] + _SPREAD[a]).to_bytes(length, "little")
             for a, b in zip(p.above, p.below)]
 
 
@@ -243,9 +234,10 @@ def _canonical_form(classes: list[int], rows: list[bytes]) -> bytes:
     return f"{n}:".encode() + bytes(search([], 0))
 
 
-def canonicalize(p: Poset, force: bool = False) -> bytes:
-    """Canonical byte string: equal exactly for isomorphic posets."""
-    _check_budget(p.n, force, cap=CANON_MAX_N, what="canonicalized poset elements")
+def canonicalize(p: Poset) -> bytes:
+    """Canonical byte string: equal exactly for isomorphic posets; over
+    ``CANON_MAX_N`` elements, ``BudgetError`` with no override."""
+    _check_budget(p.n, None, CANON_MAX_N, "canonicalized poset elements")
     return _canonical_form(_refined_classes(p), _digit_rows(p, p.n + 1))
 
 
@@ -319,9 +311,8 @@ def _grow_task(args) -> list[tuple[bytes, int]]:
     Each child's refinement inputs and digit rows are the parent's, changed
     only on the ideal's elements and the new element n; no child is built.
     """
-    p, connected, force = args
+    p, connected = args
     n = p.n
-    _check_budget(n + 1, force, cap=CANON_MAX_N, what="canonicalized poset elements")
     components = p.components() if connected else ()
     elements = [(e, 1 << e, above, h + 1) for e, (above, h) in enumerate(zip(p.above, p.heights))]
     cover_up, cover_down = _cover_lists(n, p.covers)
@@ -332,7 +323,6 @@ def _grow_task(args) -> list[tuple[bytes, int]]:
     ideal_top = in_ideal | 1 << width
     up_with_n = [[*ups, n] for ups in cover_up]
     rows = [(row + b"\0\0", row + b"\1\0") for row in _digit_rows(p, n)]
-    spread = _SPREAD.__getitem__ if n <= _SPREAD_BITS else _spread
     firsts: dict[bytes, int] = {}
     for mask in _orbit_ideal_masks(p):
         if not all(mask & c for c in components):
@@ -354,7 +344,7 @@ def _grow_task(args) -> list[tuple[bytes, int]]:
         child_keys.append(mask.bit_count() << 4 * width | height << 2 * width | len(tops))
         child_up.append(())
         child_rows = [pair[mask >> e & 1] for e, pair in enumerate(rows)]
-        child_rows.append((2 * spread(mask)).to_bytes(n + 2, "little"))
+        child_rows.append((2 * _SPREAD[mask]).to_bytes(n + 2, "little"))
         classes = _refine(child_keys, child_up, [*cover_down, tops], child_rows)
         form = _canonical_form(classes, child_rows)
         firsts.setdefault(form, mask)
@@ -372,18 +362,20 @@ def poset_levels(max_n: int, connected: bool = False, force: bool = False,
     child ``Poset`` is built here only for a form not seen before.  The
     first-seen child represents its class whatever ``workers`` is, and each
     yielded level is a tuple sorted by canonical form, so catalogs are
-    deterministic.
+    deterministic.  ``force`` lifts ``GENERATION_MAX_N`` but not ``CANON_MAX_N``;
+    both are checked before any level grows.
     """
     _check_ints(ValueError, max_n=max_n)
     _check_workers(workers)
+    _check_budget(max_n, None, CANON_MAX_N, "canonicalized poset elements")
     _check_budget(max_n, force, cap=GENERATION_MAX_N, what="catalog poset elements")
     if max_n < 1:
         raise ValueError("catalogs need n >= 1")
-    level = {canonicalize(Poset(1), force=force): Poset(1)}
+    level = {canonicalize(Poset(1)): Poset(1)}
     for n in range(1, max_n + 1):
         if n > 1:
             parents = tuple(level.values())
-            tasks = [(p, connected and n == max_n, force) for p in parents]
+            tasks = [(p, connected and n == max_n) for p in parents]
             results = _run_chunks(_grow_task, tasks, workers)
             level = {}
             # results first, so zip exhausts the generator and its pool shuts down

@@ -245,6 +245,18 @@ def test_verify_budget_gate(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("argv", [["gen-posets", "--n", "11", "--force"],
+                                  ["verify", "--max-n", "11", "--force"]])
+def test_canonical_form_cap_has_no_override(capsys, argv):
+    # --force lifts the catalog caps to 10, where canonical forms stop
+    import time
+
+    start = time.perf_counter()
+    assert run(capsys, *argv) == (
+        2, "", "budget: canonicalized poset elements of 11 exceeds the budget of 10\n")
+    assert time.perf_counter() - start < 1
+
+
 def test_verify_counterexample_exit(capsys, monkeypatch):
     from types import SimpleNamespace
 

@@ -210,8 +210,8 @@ def test_grow_task_prunes_no_first_child():
         reference.setdefault(p, {}).setdefault(canonicalize(child), (mask, child))
     for p, firsts in reference.items():
         pairs = [(key, mask) for key, (mask, _) in firsts.items()]
-        assert _grow_task((p, False, False)) == pairs
-        assert _grow_task((p, True, False)) == [
+        assert _grow_task((p, False)) == pairs
+        assert _grow_task((p, True)) == [
             (key, mask) for key, (mask, child) in firsts.items() if child.is_connected()]
 
 
@@ -221,7 +221,7 @@ def _forms_of_built_children(p, connected):
     firsts = {}
     for mask in _orbit_ideal_masks(p):
         if all(mask & c for c in components):
-            firsts.setdefault(canonicalize(_extend_by_maximal(p, mask), force=True), mask)
+            firsts.setdefault(canonicalize(_extend_by_maximal(p, mask)), mask)
     return list(firsts.items())
 
 
@@ -229,13 +229,14 @@ def test_grow_task_forms_match_built_children(monkeypatch):
     import promotion_sorting.harness as harness
 
     parents = [p for level in poset_levels(6) for p in level]
-    # over 15 elements every key digit needs more bits than at n = 8, and at
-    # 17 more than the parent's own size would give
-    parents += [chain(15), chain(16), antichain(16),
-                ordinal_sum(antichain(8), chain(8)), ordinal_sum(chain(8), antichain(8)),
-                disjoint_union(chain(8), chain(8)),
-                ordinal_sum(antichain(2), ordinal_sum(chain(13), antichain(2))),
-                *(_random_poset(n, seed) for n in (15, 16) for seed in range(3))]
+    # a child of an 8-element parent needs 4-bit key digits, one bit more than
+    # the parent's own size would give; children of 9-element parents reach
+    # CANON_MAX_N and fill the relation-digit table
+    parents += [chain(8), chain(9), antichain(9),
+                ordinal_sum(antichain(4), chain(4)), ordinal_sum(chain(4), antichain(5)),
+                disjoint_union(chain(4), chain(4)), disjoint_union(chain(4), chain(5)),
+                ordinal_sum(antichain(2), ordinal_sum(chain(5), antichain(2))),
+                *(_random_poset(n, seed) for n in (8, 9) for seed in range(3))]
     want = {(p, connected): _forms_of_built_children(p, connected)
             for p in parents for connected in (False, True)}
 
@@ -245,7 +246,7 @@ def test_grow_task_forms_match_built_children(monkeypatch):
     monkeypatch.setattr(harness, "Poset", no_child)
     monkeypatch.setattr(harness, "_extend_by_maximal", no_child)
     for (p, connected), pairs in want.items():
-        assert _grow_task((p, connected, True)) == pairs, (p.covers, connected)
+        assert _grow_task((p, connected)) == pairs, (p.covers, connected)
 
 
 @pytest.mark.parametrize("n, connected, forms", [
@@ -296,9 +297,11 @@ def test_canonicalize_separates():
 
 def test_canonicalize_prefix_and_budget():
     assert canonicalize(chain(4)).startswith(b"4:")
-    with pytest.raises(BudgetError):
+    assert canonicalize(chain(CANON_MAX_N)).startswith(b"10:")
+    # a hard cap: the message offers no override
+    with pytest.raises(BudgetError) as refused:
         canonicalize(chain(11))
-    assert canonicalize(chain(11), force=True).startswith(b"11:")
+    assert str(refused.value) == "canonicalized poset elements of 11 exceeds the budget of 10"
 
 
 # The refinement and search as they stood before the singleton keys, the
@@ -389,16 +392,16 @@ def test_canonical_forms_match_the_reference():
     for p in posets:
         assert _refined_classes(p) == _reference_refined_classes(p), p.covers
         assert canonicalize(p) == _reference_canonicalize(p), p.covers
-    # over CANON_MAX_N elements the digit rows span more than one spread chunk;
+    # at 9 and 10 elements the digit rows index the whole relation table;
     # antichains and stacked antichains branch only on twins, the others on
     # non-twin ties too
-    wide = [chain(11), antichain(12), ordinal_sum(antichain(3), antichain(9)),
-            disjoint_union(chain(6), chain(6)),
-            disjoint_union(build_w_poset(WParams(1, 1, 1, 1)), build_w_poset(WParams(1, 1, 1, 1))),
-            *(_random_poset(n, seed) for n in (11, 12, 14) for seed in range(4))]
+    wide = [chain(10), antichain(10), ordinal_sum(antichain(3), antichain(7)),
+            disjoint_union(chain(5), chain(5)), disjoint_union(chain(4), chain(5)),
+            disjoint_union(build_w_poset(WParams(1, 1, 1, 1)), LAMBDA),
+            *(_random_poset(n, seed) for n in (9, 10) for seed in range(4))]
     for p in wide:
         assert _refined_classes(p) == _reference_refined_classes(p), p.covers
-        assert canonicalize(p, force=True) == _reference_canonicalize(p, force=True), p.covers
+        assert canonicalize(p) == _reference_canonicalize(p), p.covers
 
 
 def test_generation_determinism_and_order():
@@ -444,9 +447,27 @@ def test_connected_catalog_9_matches_oeis():
     assert len(generate_posets(9, connected=True, force=True, workers=2)) == 163341
 
 
-def test_generation_budget():
+@pytest.mark.slow
+def test_catalog_9_matches_oeis():
+    # the last level unpruned: every child of every 8-element parent
+    assert len(generate_posets(9, force=True, workers=2)) == 183231
+
+
+def test_generation_budget(monkeypatch):
+    import promotion_sorting.harness as harness
+
     with pytest.raises(BudgetError):
         generate_posets(9)
+
+    def no_growth(*args):
+        raise AssertionError("a level grew")
+
+    # force lifts the generation cap, never the canonical-form cap
+    monkeypatch.setattr(harness, "_run_chunks", no_growth)
+    for force in (False, True):
+        with pytest.raises(BudgetError) as refused:
+            generate_posets(11, force=force)
+        assert str(refused.value) == "canonicalized poset elements of 11 exceeds the budget of 10"
     with pytest.raises(ValueError):
         generate_posets(0)
     for size in (2.5, 3.0, True, "3", None):
@@ -626,6 +647,16 @@ def test_scan_finds_non_unimodal_at_six():
         assert not sequence_shape(coeffs).unimodal
     # the full catalog picks up two more disconnected or wider instances
     assert len(scan_catalog(generate_posets(6), unimodal=True).non_unimodal) == 10
+
+
+@pytest.mark.slow
+def test_unimodal_census_at_seven():
+    cat = generate_posets(7)
+    report = scan_catalog(cat, unimodal=True, workers=2)
+    assert report.failures == ()
+    assert len(report.non_unimodal) == 75
+    assert sum(p.is_connected() for p in cat.entries) == 1650
+    assert sum(cat.entries[idx].is_connected() for idx, _ in report.non_unimodal) == 64
 
 
 def test_unimodal_scan_checks_the_two_routes_agree(monkeypatch):
