@@ -20,8 +20,8 @@ from .families import WParams, build_w_poset, inflation_spec_from_json
 from .formulas import (CLOSED_FORM_MAX_N, attach_antichain, broom_f, irf_bound,
                        irf_tangled_by_element, ordinal_sum_antichains_g,
                        pedestal_coeffs, w_poset_tangled, weak_order_family)
-from .harness import (PosetCatalog, generate_posets, poset_levels, save_catalog,
-                      scan_catalog)
+from .harness import (CANON_MAX_N, PosetCatalog, generate_posets, poset_levels,
+                      save_catalog, scan_catalog)
 from .posets import Poset, _short_repr, decode_json, load_poset, poset_to_json
 from .promotion import (format_labeling, lift_labeling, order, parse_labeling,
                         promote, validate_labeling)
@@ -251,7 +251,8 @@ def _cmd_gen_posets(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    _check_budget(args.max_n, args.force, VERIFY_DEFAULT_MAX_N, "verify sweep poset elements")
+    if args.max_n <= CANON_MAX_N:  # past it, poset_levels refuses with no override to offer
+        _check_budget(args.max_n, args.force, VERIFY_DEFAULT_MAX_N, "verify sweep poset elements")
     found = 0
     levels = poset_levels(args.max_n, connected=not args.all_posets, force=args.force,
                           workers=args.threads)

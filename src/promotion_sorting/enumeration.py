@@ -5,8 +5,8 @@ the elements holding the top labels.  ``sorting_gf`` has one task per root
 tail (below), and ``tangled_report`` one per (basin b, element above b
 outside its funnel) pair, a search block of the tangled-chain lemma below.
 The task list depends only on the poset, never on the worker count, which
-only sets how many processes share it (at most one per task); results
-merge by plain addition.  Everything here is exact integer arithmetic.
+only sets how many processes share it; results merge by plain addition.
+Everything here is exact integer arithmetic.
 
 The sorting generating function is read off the inverse-promotion forest.
 Promotion maps the n! labelings to themselves, and it permutes the natural
@@ -50,6 +50,7 @@ n! grows too fast to wander past that wall by accident.
 
 from __future__ import annotations
 
+import atexit
 import os
 from dataclasses import dataclass
 from itertools import accumulate, permutations
@@ -136,28 +137,31 @@ def _check_workers(workers) -> None:
                          f"got {_short_repr(workers)}")
 
 
-def _run_chunks(worker, tasks, workers: int):
-    """Yield ``worker(t)`` for each of ``tasks``, in task order, on a process
-    pool when that can help.
+_pool = None  # (processes, Pool): this process's one pool, terminated at exit
+atexit.register(lambda: _pool and _pool[1].terminate())
 
-    The pool gets at most one process per task and per CPU, and streams the
-    results back through ``imap`` in batches of the size ``Pool.map`` would
-    use, so a caller can consume each result as it arrives.  With a single
-    process the tasks run in this process and no pool starts.  The worker
-    count passes :func:`_check_workers` first.
-    """
+
+def _run_chunks(worker, tasks, workers: int):
+    """``worker(t)`` for each of ``tasks``, in task order: ``map`` here for
+    one process or at most one task, else ``imap`` (batched as ``Pool.map``
+    would) on this process's one pool of ``min(workers, CPUs)`` processes,
+    started at the first such call and replaced by a call with another
+    count.  The worker count passes :func:`_check_workers` first."""
+    global _pool
     _check_workers(workers)
-    processes = min(workers, os.cpu_count() or 1, len(tasks))
-    if processes <= 1:
-        yield from map(worker, tasks)
-        return
-    with Pool(processes=processes) as pool:
-        yield from pool.imap(worker, tasks, -(-len(tasks) // (4 * processes)))
+    processes = min(workers, os.cpu_count() or 1)
+    if processes == 1 or len(tasks) <= 1:
+        return map(worker, tasks)
+    if _pool is None or _pool[0] != processes:
+        if _pool is not None:
+            _pool[1].terminate()
+        _pool = processes, Pool(processes)
+    return _pool[1].imap(worker, tasks, -(-len(tasks) // (4 * processes)))
 
 
 def _histogram(p: Poset, task, tails, workers: int) -> list[int]:
     """Sum of ``task((p, tail))`` over ``tails``; zeros when there are none."""
-    results = list(_run_chunks(task, [(p, tail) for tail in tails], workers))
+    results = _run_chunks(task, [(p, tail) for tail in tails], workers)
     return [sum(col) for col in zip([0] * p.n, *results)]
 
 

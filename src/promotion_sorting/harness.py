@@ -357,9 +357,9 @@ def poset_levels(max_n: int, connected: bool = False, force: bool = False,
     with ``connected``, the last level holds the connected classes only.
 
     Grows size by size, as the module docstring sets out.  Each level runs
-    one ``_grow_task`` per parent through ``_run_chunks``; the results
-    stream back in parent order as (canonical form, ideal mask) pairs, and a
-    child ``Poset`` is built here only for a form not seen before.  The
+    one ``_grow_task`` per parent through ``_run_chunks``, which returns
+    (canonical form, ideal mask) pairs in parent order, and a child
+    ``Poset`` is built here only for a form not seen before.  The
     first-seen child represents its class whatever ``workers`` is, and each
     yielded level is a tuple sorted by canonical form, so catalogs are
     deterministic.  ``force`` lifts ``GENERATION_MAX_N`` but not ``CANON_MAX_N``;
@@ -376,10 +376,8 @@ def poset_levels(max_n: int, connected: bool = False, force: bool = False,
         if n > 1:
             parents = tuple(level.values())
             tasks = [(p, connected and n == max_n) for p in parents]
-            results = _run_chunks(_grow_task, tasks, workers)
             level = {}
-            # results first, so zip exhausts the generator and its pool shuts down
-            for children, p in zip(results, parents):
+            for p, children in zip(parents, _run_chunks(_grow_task, tasks, workers)):
                 for key, mask in children:
                     if key not in level:
                         level[key] = _extend_by_maximal(p, mask)

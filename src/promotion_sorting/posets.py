@@ -268,18 +268,9 @@ def funnel_and_basins(p: Poset) -> dict[int, frozenset[int]]:
     whose principal lower order ideal has ``x`` as its only minimal element.
     Minimal elements with a nonempty funnel are the basins.
     """
-    min_mask = 0
-    for m in p.minimals:
-        min_mask |= 1 << m
-    out: dict[int, frozenset[int]] = {}
-    for x in p.minimals:
-        xbit = 1 << x
-        funnel = frozenset(
-            y for y in _bits(p.above[x])
-            if (p.below[y] | (1 << y)) & min_mask == xbit
-        )
-        out[x] = funnel
-    return out
+    min_mask = sum(1 << m for m in p.minimals)
+    return {x: frozenset(y for y in _bits(p.above[x]) if (p.below[y] | 1 << y) & min_mask == 1 << x)
+            for x in p.minimals}
 
 
 def basins(p: Poset) -> tuple[int, ...]:

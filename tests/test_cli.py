@@ -237,6 +237,25 @@ def test_thread_count_never_changes_output(capsys, tmp_path):
     assert catalogs[0] == catalogs[1] and catalogs[0].count("\n") == 238
 
 
+def test_pooled_run_exits_cleanly():
+    # the process's one pool is terminated at exit, so the interpreter's
+    # teardown prints nothing after the count line, not even the
+    # ResourceWarning of a pool still running when it is collected
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    paths = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    argv = ["gen-posets", "--n", "5", "--threads", "2"]
+    result = subprocess.run([sys.executable, "-W", "always::ResourceWarning", "-m",
+                             "promotion_sorting", *argv], env=env, capture_output=True,
+                            text=True, timeout=60)
+    assert (result.returncode, result.stderr) == (0, "63 posets with 5 elements\n")
+    assert result.stdout.count("\n") == 63
+
+
 def test_verify_budget_gate(capsys):
     code, _, err = run(capsys, "verify", "--max-n", "7")
     assert code == 2
@@ -246,9 +265,12 @@ def test_verify_budget_gate(capsys):
 
 
 @pytest.mark.parametrize("argv", [["gen-posets", "--n", "11", "--force"],
-                                  ["verify", "--max-n", "11", "--force"]])
+                                  ["verify", "--max-n", "11", "--force"],
+                                  ["gen-posets", "--n", "11"],
+                                  ["verify", "--max-n", "11"]])
 def test_canonical_form_cap_has_no_override(capsys, argv):
-    # --force lifts the catalog caps to 10, where canonical forms stop
+    # --force lifts the catalog caps to 10, where canonical forms stop, so
+    # past 10 no refusal offers --force
     import time
 
     start = time.perf_counter()

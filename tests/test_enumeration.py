@@ -107,38 +107,45 @@ def test_worker_determinism():
 
 
 def test_worker_count_is_clamped(monkeypatch):
-    # a fake pool records the process count it is asked for and runs the
+    # a fake pool records the process count it is started with and runs the
     # tasks in this process, so nothing is ever spawned; THREE_BASINS has
-    # nine root tails, so its gf tasks outnumber the three CPUs
+    # nine root tails, so its gf tasks outnumber the three CPUs.  The count
+    # is min(workers, CPUs) whatever the task count, one pool serves every
+    # call with that count, and a call with another count replaces it
     from promotion_sorting import enumeration, generate_posets, scan_catalog
 
-    asked = []
+    pools = []
+    dispatched = []
 
     class FakePool:
         def __init__(self, processes):
-            asked.append(processes)
+            self.processes = processes
+            self.terminated = False
+            pools.append(self)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
+        def terminate(self):
+            self.terminated = True
 
         def imap(self, worker, tasks, chunksize):
             # the batch size Pool.map would pick
-            assert chunksize == -(-len(tasks) // (4 * asked[-1]))
+            assert chunksize == -(-len(tasks) // (4 * self.processes))
+            dispatched.append(len(tasks))
             return map(worker, tasks)
 
     monkeypatch.setattr(enumeration, "Pool", FakePool)
+    monkeypatch.setattr(enumeration, "_pool", None)
     monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 3)
     cat = generate_posets(4, connected=True)
     assert sorting_gf(THREE_BASINS, workers=64) == sorting_gf(THREE_BASINS)
     assert scan_catalog(cat, workers=64) == scan_catalog(cat)
-    # growth runs one task per parent: 1, 2, 5 and 16 parents for n = 2..5
+    # growth runs one task per parent: 1, 2, 5 and 16 parents for n = 2..5,
+    # and the one-task level runs in this process
     assert generate_posets(5, workers=64) == generate_posets(5)
+    assert [(pool.processes, pool.terminated) for pool in pools] == [(3, False)]
     monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 64)
     assert scan_catalog(cat, workers=1000) == scan_catalog(cat)
-    assert asked == [3, 3, 2, 3, 3, len(cat)]
+    assert [(pool.processes, pool.terminated) for pool in pools] == [(3, True), (64, False)]
+    assert dispatched == [9, len(cat), 2, 5, 16, len(cat)]
     # a worker count is a plain int: floats, strings and bools are refused
     # before any pool starts, chain(3) with no task to dispatch included
     for bad in (0, -3, 2.0, "2", True):
@@ -156,7 +163,32 @@ def test_worker_count_is_clamped(monkeypatch):
         # one level builds no pool, so the count is checked before it
         with pytest.raises(ValueError, match=match):
             generate_posets(1, workers=bad)
-    assert asked == [3, 3, 2, 3, 3, len(cat)]
+    assert len(pools) == 2 and dispatched == [9, len(cat), 2, 5, 16, len(cat)]
+
+
+def test_one_pool_per_process(monkeypatch, fresh_pool):
+    # growth, a conjecture scan and an enumeration at two workers share one
+    # real pool, started at the first dispatch
+    from promotion_sorting import enumeration, scan_catalog
+    from promotion_sorting.harness import poset_levels
+
+    real_pool = enumeration.Pool
+    started = []
+
+    def counting_pool(processes):
+        started.append(processes)
+        return real_pool(processes)
+
+    monkeypatch.setattr(enumeration, "Pool", counting_pool)
+    monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)
+    cat = generate_posets(5)
+    levels = list(poset_levels(6, workers=2))
+    report = scan_catalog(cat, workers=2)
+    f = sorting_gf(T222, workers=2)
+    assert started == [2]
+    assert [len(level) for level in levels] == [1, 2, 5, 16, 63, 318]
+    assert report == scan_catalog(cat)
+    assert f == sorting_gf(T222)
 
 
 def test_defective_kernel_fails_instead_of_hanging(monkeypatch):
@@ -245,17 +277,15 @@ def test_tangled_split_invariance(monkeypatch, p):
         def __init__(self, processes):
             pass
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
+        def terminate(self):
+            pass
 
         def imap(self, worker, tasks, chunksize):
             seen.append((worker, [tail for _, tail in tasks]))
             return map(worker, tasks)
 
     monkeypatch.setattr(enumeration, "Pool", FakePool)
+    monkeypatch.setattr(enumeration, "_pool", None)
     monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 7)
     serial_f = sorting_gf(p).coeffs
     serial_tangled = tangled_report(p).by_element

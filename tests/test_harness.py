@@ -678,7 +678,7 @@ def test_unimodal_scan_checks_the_two_routes_agree(monkeypatch):
     scan_catalog(cat)
 
 
-def test_scan_reports_only_the_failing_poset(monkeypatch):
+def test_scan_reports_only_the_failing_poset(monkeypatch, fresh_pool):
     import promotion_sorting.harness as harness
     from promotion_sorting import TangleReport
 
@@ -695,6 +695,7 @@ def test_scan_reports_only_the_failing_poset(monkeypatch):
             return TangleReport(tuple(by_element))
 
         monkeypatch.setattr(harness, "tangled_report", skewed)
+        fresh_pool()
 
     # the chain's top element exceeds (n-1)!, so every bound breaks
     skew_top_count(factorial(3) + 1)
