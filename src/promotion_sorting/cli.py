@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import nullcontext
 from typing import Optional, Sequence
 
 from .enumeration import (BudgetError, GenFun, _check_budget, sorting_gf,
@@ -20,9 +21,9 @@ from .families import WParams, build_w_poset, inflation_spec_from_json
 from .formulas import (CLOSED_FORM_MAX_N, attach_antichain, broom_f, irf_bound,
                        irf_tangled_by_element, ordinal_sum_antichains_g,
                        pedestal_coeffs, w_poset_tangled, weak_order_family)
-from .harness import (CANON_MAX_N, PosetCatalog, generate_posets, poset_levels,
-                      save_catalog, scan_catalog)
-from .posets import Poset, _short_repr, decode_json, load_poset, poset_to_json
+from .harness import (CANON_MAX_N, PosetCatalog, _open_catalog, _write_catalog,
+                      poset_levels, scan_catalog)
+from .posets import Poset, _short_repr, decode_json, load_poset
 from .promotion import (format_labeling, lift_labeling, order, parse_labeling,
                         promote, validate_labeling)
 
@@ -238,14 +239,14 @@ def _cmd_weak_order(args) -> int:
 
 
 def _cmd_gen_posets(args) -> int:
-    catalog = generate_posets(args.n, connected=args.connected, force=args.force,
-                              workers=args.threads)
-    if args.out:
-        save_catalog(catalog, args.out)
-    else:
-        for p in catalog.entries:
-            print(poset_to_json(p))
-    print(f"{len(catalog)} posets with {args.n} elements"
+    # the budgets are checked here, so a refused run opens no file, and the
+    # output is opened before any level grows, so a bad --out fails at once
+    levels = poset_levels(args.n, connected=args.connected, force=args.force,
+                          workers=args.threads)
+    with _open_catalog(args.out, "w") if args.out else nullcontext(sys.stdout) as out:
+        *_, entries = levels
+        _write_catalog(entries, out)
+    print(f"{len(entries)} posets with {args.n} elements"
           + (" (connected)" if args.connected else ""), file=sys.stderr)
     return 0
 

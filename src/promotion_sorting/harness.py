@@ -80,10 +80,13 @@ form is the same byte string.
 from __future__ import annotations
 
 import gzip
+import io
 import math
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
-from operator import itemgetter
-from typing import Iterator
+from operator import eq, itemgetter
+from typing import Iterable, Iterator
 
 from .enumeration import (TangleReport, _check_budget, _check_workers, _run_chunks,
                           sequence_shape, sorting_gf, tangled_report)
@@ -290,13 +293,52 @@ def _extend_by_maximal(p: Poset, ideal: int) -> Poset:
     return child
 
 
+class _GrownLevel(Sequence):
+    """A catalog level held as one int per class, ``parent index << k | ideal
+    mask`` against the k-element ``parents``, in canonical-form order.  Each
+    entry is built by ``_extend_by_maximal`` when it is read, and nothing is
+    cached, so a level costs eight bytes per class until it is read."""
+
+    __slots__ = ("parents", "codes")
+
+    def __init__(self, parents: tuple, codes: array):
+        self.parents = parents
+        self.codes = codes
+
+    def _build(self, code: int) -> Poset:
+        k = self.parents[0].n
+        return _extend_by_maximal(self.parents[code >> k], code & (1 << k) - 1)
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return _GrownLevel(self.parents, self.codes[index])
+        return self._build(self.codes[index])
+
+    def __iter__(self) -> Iterator[Poset]:
+        return map(self._build, self.codes)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+
 @dataclass(frozen=True)
 class PosetCatalog:
-    """All isomorphism classes of a given size, one representative each."""
+    """All isomorphism classes of a given size, one representative each.
+
+    ``entries`` is a tuple when loaded from a file; from :func:`generate_posets`
+    it is a read-only sequence that builds each poset when it is read."""
 
     n: int
     connected_only: bool
-    entries: tuple
+    entries: Sequence[Poset]
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -352,18 +394,20 @@ def _grow_task(args) -> list[tuple[bytes, int]]:
 
 
 def poset_levels(max_n: int, connected: bool = False, force: bool = False,
-                 workers: int = 1) -> Iterator[tuple]:
-    """Yield one representative per isomorphism class for n = 1, .., max_n;
-    with ``connected``, the last level holds the connected classes only.
+                 workers: int = 1) -> Iterator[Sequence[Poset]]:
+    """One representative per isomorphism class for n = 1, .., max_n, level by
+    level; with ``connected``, the last level holds the connected classes only.
 
     Grows size by size, as the module docstring sets out.  Each level runs
     one ``_grow_task`` per parent through ``_run_chunks``, which returns
-    (canonical form, ideal mask) pairs in parent order, and a child
-    ``Poset`` is built here only for a form not seen before.  The
-    first-seen child represents its class whatever ``workers`` is, and each
-    yielded level is a tuple sorted by canonical form, so catalogs are
-    deterministic.  ``force`` lifts ``GENERATION_MAX_N`` but not ``CANON_MAX_N``;
-    both are checked before any level grows.
+    (canonical form, ideal mask) pairs in parent order, and the first-seen
+    child of each form represents its class whatever ``workers`` is.  Each
+    level is sorted by canonical form, so catalogs are deterministic.  The
+    levels below the last are tuples, built once as the next level's
+    parents; the last is a read-only sequence of (parent, ideal mask) codes
+    that builds each poset when it is read.  The budgets are checked when
+    this is called, before any level grows: ``force`` lifts
+    ``GENERATION_MAX_N`` but not ``CANON_MAX_N``.
     """
     _check_ints(ValueError, max_n=max_n)
     _check_workers(workers)
@@ -371,42 +415,71 @@ def poset_levels(max_n: int, connected: bool = False, force: bool = False,
     _check_budget(max_n, force, cap=GENERATION_MAX_N, what="catalog poset elements")
     if max_n < 1:
         raise ValueError("catalogs need n >= 1")
+    return _grow_levels(max_n, connected, workers)
+
+
+def _grow_levels(max_n: int, connected: bool, workers: int) -> Iterator[Sequence[Poset]]:
+    """The levels of :func:`poset_levels`, its arguments already checked.
+
+    A level below the last is held as a dict from canonical form to
+    representative in first-seen order, which is the next level's parent
+    order; the last as ``parent index << k | ideal mask`` per form, for the
+    k-element parents.
+    """
     level = {canonicalize(Poset(1)): Poset(1)}
-    for n in range(1, max_n + 1):
-        if n > 1:
-            parents = tuple(level.values())
-            tasks = [(p, connected and n == max_n) for p in parents]
-            level = {}
-            for p, children in zip(parents, _run_chunks(_grow_task, tasks, workers)):
-                for key, mask in children:
-                    if key not in level:
-                        level[key] = _extend_by_maximal(p, mask)
-        yield tuple(level[key] for key in sorted(level))
+    for k in range(1, max_n):
+        yield tuple(map(level.__getitem__, sorted(level)))
+        parents = tuple(level.values())
+        tasks = [(p, connected and k + 1 == max_n) for p in parents]
+        firsts: dict[bytes, int] = {}
+        for index, children in enumerate(_run_chunks(_grow_task, tasks, workers)):
+            for form, mask in children:
+                firsts.setdefault(form, index << k | mask)
+        if k + 1 == max_n:
+            codes = array("q", map(firsts.__getitem__, sorted(firsts)))
+            del level, tasks, firsts  # only the parents and one int per class stay alive
+            yield _GrownLevel(parents, codes)
+            return
+        level = dict(zip(firsts, _GrownLevel(parents, array("q", firsts.values()))))
+    yield tuple(level.values())
 
 
 def generate_posets(n: int, connected: bool = False, force: bool = False,
                     workers: int = 1) -> PosetCatalog:
     """The last level of :func:`poset_levels`, optionally connected posets
-    only, which growth alone selects (see the module docstring)."""
+    only, which growth alone selects (see the module docstring).  Its
+    ``entries`` hold one (parent, ideal mask) code per class and build each
+    poset when it is read, so a catalog read once is never held whole."""
     *_, entries = poset_levels(n, connected=connected, force=force, workers=workers)
     return PosetCatalog(n=n, connected_only=connected, entries=entries)
 
 
+def _open_catalog(path, mode: str):
+    """``path`` opened as text for ``mode`` "r" or "w", through gzip when it
+    ends in .gz; the gzip header gets no time stamp, so a catalog written
+    twice to one path gives the same bytes."""
+    if str(path).endswith(".gz"):
+        return io.TextIOWrapper(gzip.GzipFile(path, mode + "b", mtime=0), encoding="utf-8")
+    return open(path, mode, encoding="utf-8")
+
+
+def _write_catalog(entries: Iterable[Poset], fh) -> None:
+    """One poset JSON document per line, each poset read (and built) in turn."""
+    for p in entries:
+        fh.write(poset_to_json(p) + "\n")
+
+
 def save_catalog(catalog: PosetCatalog, path) -> None:
     """Write one poset JSON document per line; gzip when the path ends in .gz."""
-    opener = gzip.open if str(path).endswith(".gz") else open
-    with opener(path, "wt", encoding="utf-8") as fh:
-        for p in catalog.entries:
-            fh.write(poset_to_json(p))
-            fh.write("\n")
+    with _open_catalog(path, "w") as fh:
+        _write_catalog(catalog.entries, fh)
 
 
 def load_catalog(path) -> PosetCatalog:
     """Read a :func:`save_catalog` file; a poset over ``CLOSED_FORM_MAX_N``
     elements is refused (``BudgetError``) before it is built."""
-    opener = gzip.open if str(path).endswith(".gz") else open
     entries = []
-    with opener(path, "rt", encoding="utf-8") as fh:
+    with _open_catalog(path, "r") as fh:
         for line in fh:
             line = line.strip()
             if line:

@@ -208,6 +208,25 @@ def test_gen_posets_stdout_and_file(capsys, tmp_path):
     assert len(out_path.read_text().splitlines()) == 10
 
 
+@pytest.mark.parametrize("name", ["c8.jsonl", "c8.jsonl.gz"])
+def test_gen_posets_opens_its_output_before_growing(capsys, tmp_path, name):
+    # a bad --out fails before any level grows (growing to 9 would take
+    # seconds), and a budget refusal, checked before the output is opened,
+    # creates no file
+    import time
+
+    path = tmp_path / "missing" / name
+    start = time.perf_counter()
+    assert run(capsys, "gen-posets", "--n", "9", "--connected", "--force",
+               "--out", str(path)) == (
+        1, "", f"error: [Errno 2] No such file or directory: '{path}'\n")
+    assert time.perf_counter() - start < 1
+    refused = tmp_path / name
+    for argv in (["--n", "9"], ["--n", "11", "--force"]):
+        assert run(capsys, "gen-posets", *argv, "--out", str(refused))[0] == 2
+        assert not refused.exists()
+
+
 def test_verify_clean_sweep(capsys):
     code, out, _ = run(capsys, "verify", "--max-n", "4", "--unimodal")
     assert code == 0

@@ -170,6 +170,28 @@ def _lower_ideals(p):
             if all(not p.below[e] & ~mask for e in _bits(mask))]
 
 
+def test_last_level_is_built_only_when_read(monkeypatch):
+    # growth builds each class of the levels below the last once, as the next
+    # level's parents; the last level builds a poset on every read, caching
+    # nothing
+    import promotion_sorting.harness as harness
+
+    built = []
+    extend = harness._extend_by_maximal
+    monkeypatch.setattr(harness, "_extend_by_maximal",
+                        lambda *args: built.append(1) or extend(*args))
+    *lower, last = poset_levels(7)
+    assert all(type(level) is tuple for level in lower)
+    assert len(built) == sum(ISO_CLASS_COUNTS[n] for n in range(2, 7)) == 404
+    entries = generate_posets(7).entries
+    assert len(built) == 2 * 404
+    posets = list(entries)
+    assert len(built) == 2 * 404 + 2045
+    assert entries[3] == posets[3] and len(built) == 2 * 404 + 2046
+    assert list(last) == posets and entries == tuple(posets) == last
+    assert (entries[-1], list(entries[5:9])) == (posets[-1], posets[5:9])
+
+
 def test_lower_ideals_match_brute_filter():
     for n in range(1, 6):
         for p in generate_posets(n).entries:
@@ -453,6 +475,22 @@ def test_catalog_9_matches_oeis():
     assert len(generate_posets(9, force=True, workers=2)) == 183231
 
 
+@pytest.mark.slow
+def test_catalog_8_traced_peak_is_bounded():
+    # the last level holds one int per class, not a poset: about 4.1 MiB traced
+    # where a level of posets peaked at 13.7 MiB
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        cat = generate_posets(8, connected=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(cat) == 14512
+    assert peak < 6 * 2**20
+
+
 def test_generation_budget(monkeypatch):
     import promotion_sorting.harness as harness
 
@@ -484,6 +522,22 @@ def test_catalog_save_load_roundtrip(tmp_path):
         assert back.n == 4
         assert back.connected_only is True
         assert [p.covers for p in back.entries] == [p.covers for p in cat.entries]
+
+
+def test_gzip_catalog_bytes_are_reproducible(tmp_path, monkeypatch):
+    # the gzip header holds no time stamp: one catalog saved twice to one
+    # path, at two different times, gives the same bytes
+    import time
+
+    cat = generate_posets(5)
+    path = tmp_path / "cat.jsonl.gz"
+    saved = []
+    for now in (1_000_000_000.0, 1_900_000_000.0):
+        monkeypatch.setattr(time, "time", lambda now=now: now)
+        save_catalog(cat, path)
+        saved.append(path.read_bytes())
+    assert saved[0] == saved[1]
+    assert load_catalog(path).entries == cat.entries
 
 
 def test_catalog_load_validation(tmp_path):
