@@ -34,6 +34,21 @@ r strictly above b can be tangled (k = 0), and each one stops promoting at
 the first c_k that is not above b.  Each (r, b) pair is a search block of
 the (n-2)! arrangements of the other labels.
 
+A block is searched level by level, merging equal states.  After k steps
+the labels below b's sit in the low part ``pos[:n - k - 1]``, whose last
+entry is c_k, and the low part after step k + 1 is a function of the low
+part after step k: the walk scans forward, so one that leaves the low part
+never comes back to it, and what it does above changes nothing below.  So
+the low part alone decides every later check.  Level k maps each distinct
+low part that passed the checks up to c_k to the number of the block's
+labelings that reach it, at most (n-2)! entries.  The next level promotes
+each once with ``_advance``, keeps those with c_{k+1} > b and adds the
+counts of equal ones; the block's tangled count is the sum at level n - 2.
+Level 0 holds the arrangements of the other labels, each once, without
+their last entry r.  Every low part is padded with r and the maximal
+elements: that restores level 0's r, and a walk that leaves a low part
+ends on the first maximal element above it.
+
 A funnel block, r in b's funnel, is all tangled and is counted, not
 enumerated: every c_k <= c_0 = r, c_k != b since b holds label n - k, and
 every element <= r other than b lies above b, b being the only minimal
@@ -53,14 +68,13 @@ from __future__ import annotations
 import atexit
 import os
 from dataclasses import dataclass
-from itertools import accumulate, permutations
+from itertools import accumulate, permutations, repeat
 from math import factorial
 from multiprocessing import Pool
 from typing import Optional, Sequence
 
 from .posets import Poset, _bits, _short_repr, funnel_and_basins
-from .promotion import (InternalError, _is_natural_pos, _is_tangled_pos, _natural_positions,
-                        _preimages)
+from .promotion import InternalError, _advance, _is_natural_pos, _natural_positions, _preimages
 
 DEFAULT_MAX_N = 9
 
@@ -221,14 +235,25 @@ class TangleReport:
 
 
 def _tangled_task(args) -> list[int]:
-    """Tangled counts over the labelings with label n - 1 on ``tail[0]`` and
-    label n on the basin ``tail[1]``, all credited to ``tail[0]``."""
-    p, tail = args
-    above = p.above
-    others = [e for e in range(p.n) if e not in tail]
+    """Tangled counts over the labelings with label n - 1 on ``r`` and label
+    n on the basin ``b``, for ``args = (p, (r, b))``, all credited to ``r``:
+    a level-wise search over the low parts of the arrays, each state with
+    its multiplicity (see the module docstring)."""
+    p, (r, b) = args
+    above, up, pad = p.above, p.above[b], (r, *p.maximals)
+    others = [e for e in range(p.n) if e != r and e != b]
+    level = zip(permutations(others), repeat(1))
+    for m in range(p.n - 2, 0, -1):
+        states: dict[bytes, int] = {}
+        for low, count in level:
+            pos = [*low, *pad]
+            _advance(above, pos)
+            if (up >> pos[m - 1]) & 1:
+                key = bytes(pos[:m])
+                states[key] = states.get(key, 0) + count
+        level = states.items()
     by_element = [0] * p.n
-    by_element[tail[0]] = sum(
-        1 for perm in permutations(others) if _is_tangled_pos(above, [*perm, *tail]))
+    by_element[r] = sum(count for _, count in level)
     return by_element
 
 
@@ -237,9 +262,10 @@ def tangled_report(p: Poset, workers: int = 1, force: bool = False) -> TangleRep
 
     A tangled labeling places label n on a basin b and label n - 1 on an
     element r strictly above b.  Each element of b's funnel is credited
-    (n-2)! without search; the other (r, b) blocks are enumerated, one task
-    each, stopping a labeling at the first break of the chain (see the
-    module docstring).  Minimal elements always report zero.
+    (n-2)! without search; the other (r, b) blocks are searched, one task
+    each, level by level, dropping a state at the first break of the chain
+    and merging equal ones (see the module docstring).  Minimal elements
+    always report zero.
     """
     if p.n < 2:
         raise ValueError("tangled labelings need at least two elements")

@@ -11,9 +11,9 @@ labeling is the order (or sorting time) of the labeling; it never exceeds
 
 The hot loops work on position arrays: ``pos[i]`` is the element holding
 label ``i + 1``.  The enumeration module runs these same kernels in its
-task loops: ``_is_tangled_pos`` forward, and ``_preimages``, the exact
-inverse of one step, in the backward walk that its module docstring
-states.
+task loops: ``_advance`` forward, in the level-wise tangled search, and
+``_preimages``, the exact inverse of one step, in the backward walk; its
+module docstring states both.
 """
 
 from __future__ import annotations
@@ -81,6 +81,8 @@ def _advance(above: Sequence[int], pos: list[int]) -> None:
     ``y``, every label on an element above ``y`` is larger than the label
     just swapped, so earlier positions never need revisiting.  The step
     overwrites exactly the positions it swaps, then shifts the array by one.
+    It reads no entry past the one the walk ends on, so ``pos`` need not be
+    a permutation beyond that: the tangled search pads partial arrays.
     """
     x = pos[0]
     mask = above[x]

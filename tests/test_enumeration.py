@@ -1,6 +1,8 @@
 """Brute-force enumeration: generating functions, tangled reports, task lists."""
 
+import random
 import re
+import tracemalloc
 from itertools import permutations
 from math import factorial
 
@@ -26,12 +28,26 @@ from promotion_sorting import (
     tangled_report,
 )
 from promotion_sorting.enumeration import _check_budget, _tangled_task
-from promotion_sorting.promotion import _advance, labels_of
+from promotion_sorting.posets import _bits
+from promotion_sorting.promotion import _advance, _is_tangled_pos, labels_of
 
 LAMBDA = Poset(3, [(0, 2), (1, 2)])
 T222 = ordinal_sum(antichain(2), ordinal_sum(antichain(2), antichain(2)))
 # the only 6-element poset with three basins: three disjoint 2-chains
 THREE_BASINS = Poset(6, [(0, 3), (1, 4), (2, 5)])
+W2221 = build_w_poset(WParams(2, 2, 2, 1))
+
+
+def _per_labeling_tangled_task(args) -> list[int]:
+    """The tangled kernel before the level-wise search, kept as the second
+    route: every labeling of the block promoted until its chain breaks."""
+    p, tail = args
+    above = p.above
+    others = [e for e in range(p.n) if e not in tail]
+    by_element = [0] * p.n
+    by_element[tail[0]] = sum(
+        1 for perm in permutations(others) if _is_tangled_pos(above, [*perm, *tail]))
+    return by_element
 
 
 def test_lambda_gfs():
@@ -307,17 +323,30 @@ def test_tangled_split_invariance(monkeypatch, p):
 def test_task_lists_cover_each_space_once(monkeypatch):
     # sorting_gf gives each of the n! labelings its order, and
     # tangled_report visits exactly the labelings with label n on a basin
-    # and label n - 1 strictly above it but outside its funnel, each once; a
-    # recorder stands in for the tangled kernel
+    # and label n - 1 strictly above it but outside its funnel, each once:
+    # a recorder of the promotion step keeps the arrays that enter a block's
+    # first level, its first (n-2)! steps: each is the labeling's first
+    # n - 1 entries, then padding.  A wrapper of the kernel names the block
     from promotion_sorting import enumeration
 
     visits = []
+    first_level = []  # the block's (r, b) and how many first-level steps are left
+    kernel, step = enumeration._tangled_task, enumeration._advance
 
-    def record(*args):
-        visits.append(tuple(args[-1]))
-        return 0
+    def task(args):
+        first_level[:] = [args[1], factorial(args[0].n - 2)]
+        return kernel(args)
 
-    monkeypatch.setattr(enumeration, "_is_tangled_pos", record)
+    def record(above, pos):
+        (r, b), left = first_level
+        if left:
+            first_level[1] = left - 1
+            assert pos[p.n - 2] == r
+            visits.append((*pos[:p.n - 1], b))
+        step(above, pos)
+
+    monkeypatch.setattr(enumeration, "_tangled_task", task)
+    monkeypatch.setattr(enumeration, "_advance", record)
     for n in range(1, 7):
         for p in generate_posets(n).entries:
             counts = [0] * n
@@ -435,6 +464,49 @@ def test_funnel_credit_matches_enumerating_every_pair_at_seven():
                 if (p.above[b] >> r) & 1:
                     by_element[r] += _tangled_task((p, (r, b)))[r]
         assert tangled_report(p).by_element == tuple(by_element)
+
+
+def _assert_kernels_agree_on_every_pair(posets) -> None:
+    """The level-wise kernel against the per-labeling one on every (r, b)
+    pair, funnel pairs included."""
+    for p in posets:
+        for b in basins(p):
+            for r in _bits(p.above[b]):
+                assert (_tangled_task((p, (r, b)))
+                        == _per_labeling_tangled_task((p, (r, b)))), (p, r, b)
+
+
+def test_level_wise_kernel_matches_per_labeling_kernel():
+    # every poset with 2 <= n <= 7, and three disjoint 2-chains
+    _assert_kernels_agree_on_every_pair(
+        [p for n in range(2, 8) for p in generate_posets(n).entries] + [THREE_BASINS])
+
+
+@pytest.mark.slow
+def test_level_wise_kernel_matches_per_labeling_kernel_on_w_posets_and_at_eight():
+    # the benchmark's W posets (n = 9 and 10) and a seeded sample of 100
+    # connected n = 8 posets
+    sample = random.Random(8).sample(generate_posets(8, connected=True).entries, 100)
+    _assert_kernels_agree_on_every_pair([build_w_poset(WParams(2, 2, 1, 1)), W2221, *sample])
+
+
+def test_tangled_block_memory_is_bounded():
+    # a W(2,2,2,1) search block holds 40,320 labelings; after one step its
+    # table holds 15,120 distinct low parts, and the traced peak stays
+    # below 3 MiB (1.47 MiB; a [count, array] list per state takes 5.3 MiB)
+    funnels = funnel_and_basins(W2221)
+    pairs = [(r, b) for b in basins(W2221) for r in _bits(W2221.above[b])
+             if r not in funnels[b]]
+    assert len(pairs) == 2
+    for pair in pairs:
+        tracemalloc.start()
+        try:
+            counts = _tangled_task((W2221, pair))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0 < counts[pair[0]] < factorial(W2221.n - 2)
+        assert peak < 3 * 2**20
 
 
 @pytest.mark.parametrize("p", [build_w_poset(WParams(1, 1, 1, 1)), THREE_BASINS],
