@@ -260,7 +260,7 @@ def _cmd_verify(args) -> int:
     for n, level in enumerate(levels, start=1):
         if n < 2:
             continue
-        entries = tuple(p for p in level if args.all_posets or p.is_connected())
+        entries = tuple(p for p in level if args.all_posets or n == args.max_n or p.is_connected())
         catalog = PosetCatalog(n=n, connected_only=not args.all_posets, entries=entries)
         report = scan_catalog(catalog, unimodal=args.unimodal, workers=args.threads,
                               force=args.force)

@@ -163,8 +163,7 @@ def _run_chunks(worker, tasks, workers: int):
     count.  The worker count passes :func:`_check_workers` first."""
     global _pool
     _check_workers(workers)
-    processes = min(workers, os.cpu_count() or 1)
-    if processes == 1 or len(tasks) <= 1:
+    if workers == 1 or len(tasks) <= 1 or (processes := min(workers, os.cpu_count() or 1)) == 1:
         return map(worker, tasks)
     if _pool is None or _pool[0] != processes:
         if _pool is not None:
@@ -265,13 +264,16 @@ def tangled_report(p: Poset, workers: int = 1, force: bool = False) -> TangleRep
     (n-2)! without search; the other (r, b) blocks are searched, one task
     each, level by level, dropping a state at the first break of the chain
     and merging equal ones (see the module docstring).  Minimal elements
-    always report zero.
+    always report zero.  A search over more than 256 elements is refused
+    (``BudgetError``, no override) before any block starts.
     """
     if p.n < 2:
         raise ValueError("tangled labelings need at least two elements")
     _check_budget(p.n, force)
     funnels = funnel_and_basins(p)
     pairs = [(r, b) for b, f in funnels.items() for r in _bits(p.above[b]) if f and r not in f]
+    if pairs:  # a search keys its states by bytes, one element index per byte
+        _check_budget(p.n, None, 256, "tangled search poset elements")
     by_element = _histogram(p, _tangled_task, pairs, workers)
     for r in frozenset().union(*funnels.values()):
         by_element[r] += factorial(p.n - 2)

@@ -286,10 +286,7 @@ def _extend_by_maximal(p: Poset, ideal: int) -> Poset:
     child.below = p.below + (ideal,)
     child.covers = tuple(sorted([*p.covers, *[(e, n) for e in tops]]))
     child.heights = p.heights + (1 + max(map(p.heights.__getitem__, tops)) if tops else 0,)
-    child.minimals = p.minimals if ideal else p.minimals + (n,)
-    child.maximals = tuple([x for x in p.maximals if not ideal >> x & 1]) + (n,)
     child.names = None
-    child._hash = hash((n + 1, child.above))
     return child
 
 
@@ -312,9 +309,7 @@ class _GrownLevel(Sequence):
     def __len__(self) -> int:
         return len(self.codes)
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return _GrownLevel(self.parents, self.codes[index])
+    def __getitem__(self, index: int) -> Poset:
         return self._build(self.codes[index])
 
     def __iter__(self) -> Iterator[Poset]:
@@ -324,9 +319,6 @@ class _GrownLevel(Sequence):
         if not isinstance(other, Sequence):
             return NotImplemented
         return len(self) == len(other) and all(map(eq, self, other))
-
-    def __hash__(self) -> int:
-        return hash(tuple(self))
 
 
 @dataclass(frozen=True)

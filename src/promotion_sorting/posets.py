@@ -4,9 +4,9 @@ Elements of an ``n``-element poset are the integers ``0..n-1``.  The strict
 order is kept transitively closed as one bitmask per element: ``above[x]``
 has bit ``y`` set exactly when ``x < y``.  Down-sets, up-sets, funnels and
 the promotion kernel all reduce to word operations on these rows.  A poset
-is immutable once built and every derived structure (cover pairs, minimal
-and maximal elements, heights) is computed eagerly at construction time, so
-instances can be shared freely between threads and worker processes.
+is immutable once built, with its cover pairs and heights computed then;
+minimal and maximal elements are read off the rows in O(n) when asked for.
+Instances can be shared freely between threads and worker processes.
 """
 
 from __future__ import annotations
@@ -128,8 +128,7 @@ class Poset:
     never carries semantics.
     """
 
-    __slots__ = ("n", "above", "below", "covers", "names", "minimals",
-                 "maximals", "heights", "_hash")
+    __slots__ = ("n", "above", "below", "covers", "names", "heights")
 
     def __init__(self, n: int, covers: Iterable[Sequence[int]] = (),
                  names: Optional[Sequence[str]] = None):
@@ -141,14 +140,21 @@ class Poset:
         self.below = tuple(below)
         self.covers = tuple(covers)
         self.heights = tuple(heights)
-        self.minimals = tuple(x for x in range(n) if not below[x])
-        self.maximals = tuple(x for x in range(n) if not above[x])
         if names is not None:
             names = tuple(str(s) for s in names)
             if len(names) != n:
                 raise ValueError("names must have one entry per element")
         self.names = names
-        self._hash = hash((n, self.above))
+
+    @property
+    def minimals(self) -> tuple[int, ...]:
+        """Elements with nothing below them, in index order."""
+        return tuple(x for x, down in enumerate(self.below) if not down)
+
+    @property
+    def maximals(self) -> tuple[int, ...]:
+        """Elements with nothing above them, in index order."""
+        return tuple(x for x, up in enumerate(self.above) if not up)
 
     # -- order queries ----------------------------------------------------
 
@@ -208,7 +214,7 @@ class Poset:
                 and self.above == other.above)
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash((self.n, self.above))
 
     def __repr__(self) -> str:
         return f"Poset(n={self.n}, covers={list(self.covers)})"

@@ -7,7 +7,8 @@ swapping it with the smallest label strictly above it until it sits on a
 maximal element, then cyclically shifts all labels down by one (the walked
 label 1 becomes ``n``).  The number of steps needed to reach a natural
 labeling is the order (or sorting time) of the labeling; it never exceeds
-``n - 1``, and labelings attaining ``n - 1`` are called tangled.
+``n - 1``.  Labelings attaining ``n - 1`` on two or more elements are
+tangled, and ``is_tangled`` tests exactly that through ``order``.
 
 The hot loops work on position arrays: ``pos[i]`` is the element holding
 label ``i + 1``.  The enumeration module runs these same kernels in its
@@ -21,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .posets import Poset, _bits, _short_repr, antichain, basins, ordinal_sum
+from .posets import Poset, _bits, _short_repr, antichain, ordinal_sum
 
 
 class InternalError(RuntimeError):
@@ -182,23 +183,6 @@ def _natural_positions(below: Sequence[int], todo: int, seen: int = 0) -> Iterat
                 yield [e, *rest]
 
 
-def _is_tangled_pos(above: Sequence[int], pos: list[int]) -> bool:
-    """Whether a labeling whose label ``n`` sits on a basin is tangled.
-
-    ``pos[-1]`` must be a basin ``b``; the array is promoted in place, and
-    the walk stops at the first holder of the label just below ``b``'s that
-    is not strictly above ``b``.  The tangled-chain lemma, stated once in the
-    :mod:`~promotion_sorting.enumeration` module docstring, is why that
-    decides it.
-    """
-    up = above[pos[-1]]
-    for i in range(len(pos) - 2, 0, -1):
-        if not (up >> pos[i]) & 1:
-            return False
-        _advance(above, pos)
-    return bool((up >> pos[0]) & 1)
-
-
 def _order_pos(above: Sequence[int], below: Sequence[int], pos: list[int]) -> int:
     """Promote ``pos`` in place until it is natural; returns the step count.
 
@@ -294,17 +278,9 @@ def standardize(p: Poset, labels: Sequence[int], subset: Iterable[int]) -> tuple
 
 
 def is_tangled(p: Poset, labels: Sequence[int]) -> bool:
-    """Whether the labeling attains the maximal order ``n - 1``.
-
-    Uses the two-part characterization: label ``n`` must sit on a basin, and
-    after ``n - 2`` promotions label 1 must sit strictly above that element
-    (see ``_is_tangled_pos``).  Single-element posets have no tangled
-    labelings: their one element is not a basin.
-    """
-    labels = validate_labeling(p, labels)
-    if labels.index(p.n) not in basins(p):
-        return False
-    return _is_tangled_pos(p.above, positions_of(labels))
+    """Whether the labeling attains the maximal order ``n - 1``: the
+    definition, tested by sorting; one element is never tangled."""
+    return order(p, labels) == p.n - 1 and p.n > 1
 
 
 def lift_labeling(p: Poset, labels: Sequence[int], indices: Sequence[int]) -> tuple[Poset, tuple[int, ...]]:

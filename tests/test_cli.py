@@ -235,6 +235,33 @@ def test_verify_clean_sweep(capsys):
     assert lines[-1] == "n=4: 10 posets, 0 counterexamples, 0 non-unimodal"
 
 
+def test_verify_tests_connectedness_below_the_last_level_only(capsys, monkeypatch):
+    # connected growth makes every poset of the last level connected, so
+    # only the lower levels, grown whole, are filtered
+    from collections import Counter
+
+    sizes = Counter()
+    is_connected = Poset.is_connected
+    monkeypatch.setattr(Poset, "is_connected", lambda p: sizes.update([p.n]) or is_connected(p))
+    code, out, _ = run(capsys, "verify", "--max-n", "5", "--threads", "1")
+    assert (code, out.splitlines()[-1]) == (0, "n=5: 44 posets, 0 counterexamples")
+    assert sizes == {2: 2, 3: 5, 4: 16}
+
+
+def test_tangled_search_past_256_elements_exits_two(capsys, tmp_path):
+    # a search block over 260 elements is refused with no override; the
+    # 300-element antichain has none and is still counted
+    from promotion_sorting import antichain
+    from test_enumeration import OVER_256
+
+    over, wide = tmp_path / "over.json", tmp_path / "wide.json"
+    save_poset(OVER_256, over)
+    save_poset(antichain(300), wide)
+    assert run(capsys, "tangled", "--poset", str(over), "--force") == (
+        2, "", "budget: tangled search poset elements of 260 exceeds the budget of 256\n")
+    assert run(capsys, "tangled", "--poset", str(wide), "--force") == (0, "total: 0\n", "")
+
+
 def test_thread_count_never_changes_output(capsys, tmp_path):
     from promotion_sorting import WParams, build_w_poset
 

@@ -1,10 +1,12 @@
 """Brute-force enumeration: generating functions, tangled reports, task lists."""
 
+import ast
 import random
 import re
 import tracemalloc
 from itertools import permutations
 from math import factorial
+from typing import Sequence
 
 import pytest
 
@@ -29,13 +31,30 @@ from promotion_sorting import (
 )
 from promotion_sorting.enumeration import _check_budget, _tangled_task
 from promotion_sorting.posets import _bits
-from promotion_sorting.promotion import _advance, _is_tangled_pos, labels_of
+from promotion_sorting.promotion import _advance, labels_of
 
 LAMBDA = Poset(3, [(0, 2), (1, 2)])
 T222 = ordinal_sum(antichain(2), ordinal_sum(antichain(2), antichain(2)))
 # the only 6-element poset with three basins: three disjoint 2-chains
 THREE_BASINS = Poset(6, [(0, 3), (1, 4), (2, 5)])
 W2221 = build_w_poset(WParams(2, 2, 2, 1))
+
+
+def _is_tangled_pos(above: Sequence[int], pos: list[int]) -> bool:
+    """Whether a labeling whose label ``n`` sits on a basin is tangled.
+
+    ``pos[-1]`` must be a basin ``b``; the array is promoted in place, and
+    the walk stops at the first holder of the label just below ``b``'s that
+    is not strictly above ``b``.  The tangled-chain lemma, stated once in the
+    :mod:`~promotion_sorting.enumeration` module docstring, is why that
+    decides it.
+    """
+    up = above[pos[-1]]
+    for i in range(len(pos) - 2, 0, -1):
+        if not (up >> pos[i]) & 1:
+            return False
+        _advance(above, pos)
+    return bool((up >> pos[0]) & 1)
 
 
 def _per_labeling_tangled_task(args) -> list[int]:
@@ -406,10 +425,9 @@ def test_budget_refuses_a_huge_int():
         _check_budget(10**5000, False)
 
 
-def test_budget_error_is_raised_in_one_place():
-    # every size refusal must go through _check_budget, so that a new cap
-    # cannot fork the rule, its wording or its --force hint again
-    import ast
+def _library_sites(match) -> list[tuple[str, str]]:
+    """(module, innermost enclosing function) of each node of the library's
+    syntax trees that ``match`` accepts, module by module in file order."""
     from pathlib import Path
 
     import promotion_sorting
@@ -425,14 +443,42 @@ def test_budget_error_is_raised_in_one_place():
             self.generic_visit(node)
             self.where.pop()
 
-        def visit_Raise(self, node):
-            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
-            if getattr(exc, "id", getattr(exc, "attr", None)) == "BudgetError":
+        def generic_visit(self, node):
+            if match(node):
                 found.append((self.where[0], self.where[-1]))
+            super().generic_visit(node)
 
     for path in sorted(Path(promotion_sorting.__file__).parent.glob("*.py")):
         Finder(path.name).visit(ast.parse(path.read_text()))
-    assert found == [("enumeration.py", "_check_budget")]
+    return found
+
+
+def _name(node):
+    """The name a ``Name`` or ``Attribute`` node refers to, else ``None``."""
+    return getattr(node, "id", getattr(node, "attr", None))
+
+
+def test_budget_error_is_raised_in_one_place():
+    # every size refusal must go through _check_budget, so that a new cap
+    # cannot fork the rule, its wording or its --force hint again
+    def raises_budget_error(node):
+        if not isinstance(node, ast.Raise):
+            return False
+        return _name(node.exc.func if isinstance(node.exc, ast.Call) else node.exc) == "BudgetError"
+
+    assert _library_sites(raises_budget_error) == [("enumeration.py", "_check_budget")]
+
+
+def test_one_forward_loop_per_question():
+    # a promotion step is taken only by the loops that answer a question:
+    # the order (which is_tangled reads), one step, the path, and the
+    # level-wise tangled search
+    def calls_advance(node):
+        return isinstance(node, ast.Call) and _name(node.func) == "_advance"
+
+    assert set(_library_sites(calls_advance)) == {
+        ("enumeration.py", "_tangled_task"), ("promotion.py", "_order_pos"),
+        ("promotion.py", "promote"), ("promotion.py", "promotion_path")}
 
 
 def test_the_core_stays_dependency_free():
@@ -531,3 +577,43 @@ def test_no_funnel_pair_is_dispatched(monkeypatch, p):
     assert all(report.by_element[r] == factorial(p.n - 2) for r in in_funnel)
     assert len(dispatched) == sum(p.above[b].bit_count() - len(funnels[b])
                                   for b in basins(p))
+
+
+def test_serial_dispatch_reads_no_cpu_count(monkeypatch):
+    # one worker runs in this process whatever the machine, so a serial
+    # sweep never asks for the CPU count: neither the scan's own dispatch
+    # nor the tangled_report inside each scan task
+    from promotion_sorting import enumeration, scan_catalog
+
+    calls = []
+    cpu_count = enumeration.os.cpu_count
+    monkeypatch.setattr(enumeration.os, "cpu_count", lambda: calls.append(1) or cpu_count())
+    report = scan_catalog(generate_posets(5, connected=True))
+    assert (report.scanned, report.passed, calls) == (44, True, [])
+
+
+# the minimal elements 0, the basin with the funnel {2}, and 1, with an
+# empty funnel, both below 3, and a 256-chain above 3: 260 elements, with
+# the search blocks (r, 0) for r >= 3
+OVER_256 = Poset(260, [(0, 2), (0, 3), (1, 3), *[(i, i + 1) for i in range(3, 259)]])
+
+
+def test_tangled_search_past_256_elements_is_refused(monkeypatch):
+    # a search keys its states by bytes, so past 256 elements it is refused,
+    # even with force, before any block starts; a poset with no search
+    # block is still counted
+    from promotion_sorting import enumeration
+
+    def no_search(*args):
+        raise AssertionError("no search may start")
+
+    monkeypatch.setattr(enumeration, "_histogram", no_search)
+    with pytest.raises(BudgetError, match=re.escape(
+            "tangled search poset elements of 260 exceeds the budget of 256")):
+        tangled_report(OVER_256, force=True)
+    # the bound is 256 itself, the last index a byte holds being 255; with
+    # the searches stubbed out, only the funnel element's credit is left
+    monkeypatch.setattr(enumeration, "_histogram", lambda p, *args: [0] * p.n)
+    assert tangled_report(Poset(256, OVER_256.covers[:-4]), force=True).total == factorial(254)
+    monkeypatch.undo()
+    assert tangled_report(antichain(300), force=True).by_element == (0,) * 300

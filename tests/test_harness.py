@@ -189,7 +189,7 @@ def test_last_level_is_built_only_when_read(monkeypatch):
     assert len(built) == 2 * 404 + 2045
     assert entries[3] == posets[3] and len(built) == 2 * 404 + 2046
     assert list(last) == posets and entries == tuple(posets) == last
-    assert (entries[-1], list(entries[5:9])) == (posets[-1], posets[5:9])
+    assert (entries[-1], [entries[i] for i in range(5, 9)]) == (posets[-1], posets[5:9])
 
 
 def test_lower_ideals_match_brute_filter():
@@ -217,10 +217,11 @@ def test_closure_free_child_matches_a_closed_build():
     count = 0
     for p, mask, want in _children(6):
         got = _extend_by_maximal(p, mask)
-        for slot in Poset.__slots__:
-            assert getattr(got, slot) == getattr(want, slot), (p, mask, slot)
         back = pickle.loads(pickle.dumps(got))
-        assert all(getattr(back, slot) == getattr(want, slot) for slot in Poset.__slots__)
+        for built in (got, back):
+            for name in (*Poset.__slots__, "minimals", "maximals"):
+                assert getattr(built, name) == getattr(want, name), (p, mask, name)
+            assert hash(built) == hash(want)
         count += 1
     assert count == 6377
 

@@ -7,6 +7,7 @@ from promotion_sorting import (
     Poset,
     RangeError,
     antichain,
+    basins,
     chain,
     format_labeling,
     frozen_set,
@@ -20,6 +21,8 @@ from promotion_sorting import (
     standardize,
     validate_labeling,
 )
+from promotion_sorting.promotion import positions_of
+from test_enumeration import _is_tangled_pos
 
 LAMBDA = Poset(3, [(0, 2), (1, 2)])
 
@@ -137,14 +140,20 @@ def test_is_tangled():
     assert is_tangled(chain(3), (3, 1, 2))
     for labels in TABLE1:
         assert not is_tangled(LAMBDA, labels)
+    assert not is_tangled(chain(1), (1,))
+    with pytest.raises(ValueError):
+        is_tangled(chain(1), (2,))
 
 
 def test_tangled_agrees_with_order():
+    # the definition (order n - 1) against the lemma route: label n on a
+    # basin, then the chain kernel the tests hold
     from itertools import permutations
 
     for p in (chain(3), LAMBDA, Poset(4, [(0, 2), (1, 2), (2, 3)]), antichain(3)):
         for perm in permutations(range(1, p.n + 1)):
-            assert is_tangled(p, perm) == (order(p, perm) == p.n - 1)
+            lemma = perm.index(p.n) in basins(p) and _is_tangled_pos(p.above, positions_of(perm))
+            assert is_tangled(p, perm) == (order(p, perm) == p.n - 1) == lemma
 
 
 def test_lift_two_chain():

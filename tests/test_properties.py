@@ -34,6 +34,7 @@ from promotion_sorting import (
     tangled_report,
 )
 from promotion_sorting.promotion import _advance, _preimages, positions_of
+from test_enumeration import _is_tangled_pos
 
 
 @st.composite
@@ -124,8 +125,11 @@ def test_label_slide(case):
 @settings(deadline=None)
 @given(labeled_posets())
 def test_tangled_iff_maximal_order(case):
+    # the definition against the lemma route: label n on a basin, then the
+    # chain kernel the tests hold
     p, labels = case
-    assert is_tangled(p, labels) == (order(p, labels) == p.n - 1)
+    lemma = labels.index(p.n) in basins(p) and _is_tangled_pos(p.above, positions_of(labels))
+    assert is_tangled(p, labels) == (order(p, labels) == p.n - 1) == lemma
 
 
 @settings(deadline=None)
