@@ -1,4 +1,4 @@
-"""Command-line front end.
+"""Command-line front end: each command imports the modules it uses when it runs.
 
 Exit codes: 0 success, 1 user error (bad flags, malformed files, domain
 errors), 2 budget refusal (pass --force to override where supported),
@@ -13,19 +13,10 @@ import json
 import os
 import sys
 from contextlib import nullcontext
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from .enumeration import (BudgetError, GenFun, _check_budget, sorting_gf,
-                          tangled_report)
-from .families import WParams, build_w_poset, inflation_spec_from_json
-from .formulas import (CLOSED_FORM_MAX_N, attach_antichain, broom_f, irf_bound,
-                       irf_tangled_by_element, ordinal_sum_antichains_g,
-                       pedestal_coeffs, w_poset_tangled, weak_order_family)
-from .harness import (CANON_MAX_N, PosetCatalog, _open_catalog, _write_catalog,
-                      poset_levels, scan_catalog)
-from .posets import Poset, _short_repr, decode_json, load_poset
-from .promotion import (format_labeling, lift_labeling, order, parse_labeling,
-                        promote, validate_labeling)
+if TYPE_CHECKING:
+    from .posets import Poset
 
 VERIFY_DEFAULT_MAX_N = 6
 
@@ -62,6 +53,9 @@ def _load_labeled(args, extra: int = 0) -> tuple[Poset, Optional[tuple[int, ...]
     document of another size is refused before its poset is built, and so is
     one whose size plus ``extra`` exceeds ``CLOSED_FORM_MAX_N``.  An absent
     ``--labeling`` gives ``None`` labels."""
+    from .enumeration import CLOSED_FORM_MAX_N, _check_budget
+    from .posets import _short_repr, load_poset
+    from .promotion import parse_labeling, validate_labeling
     labels = None if args.labeling is None else parse_labeling(args.labeling)
 
     def check_n(n: int) -> None:
@@ -103,6 +97,8 @@ def export_dot(p: Poset, labels: Optional[Sequence[int]] = None) -> str:
 # -- handlers ---------------------------------------------------------------------
 
 def _cmd_promote(args) -> int:
+    from .enumeration import CLOSED_FORM_MAX_N, _check_budget
+    from .promotion import format_labeling, promote
     p, labels = _load_labeled(args)
     if args.steps < 1:
         raise ValueError("--steps must be at least 1")
@@ -115,12 +111,14 @@ def _cmd_promote(args) -> int:
 
 
 def _cmd_order(args) -> int:
-    p, labels = _load_labeled(args)
-    print(order(p, labels))
+    from .promotion import order
+    print(order(*_load_labeled(args)))
     return 0
 
 
 def _cmd_gf(args) -> int:
+    from .enumeration import _check_budget, sorting_gf
+    from .posets import load_poset
     p = load_poset(args.poset, lambda n: _check_budget(n, args.force))
     f = sorting_gf(p, workers=args.threads, force=args.force)
     g = f.cumulative()
@@ -133,6 +131,8 @@ def _cmd_gf(args) -> int:
 
 
 def _cmd_tangled(args) -> int:
+    from .enumeration import _check_budget, tangled_report
+    from .posets import load_poset
     p = load_poset(args.poset, lambda n: _check_budget(n, args.force))
     report = tangled_report(p, workers=args.threads, force=args.force)
     if args.json:
@@ -148,6 +148,7 @@ def _cmd_tangled(args) -> int:
 
 
 def _cmd_lift(args) -> int:
+    from .promotion import format_labeling, lift_labeling, order
     indices = [int(v) for v in args.indices.split(",")]
     p, labels = _load_labeled(args, extra=len(indices))
     lifted_poset, lifted = lift_labeling(p, labels, indices)
@@ -157,6 +158,10 @@ def _cmd_lift(args) -> int:
 
 
 def _cmd_irf(args) -> int:
+    from .enumeration import CLOSED_FORM_MAX_N, _check_budget
+    from .families import inflation_spec_from_json
+    from .formulas import irf_bound, irf_tangled_by_element
+    from .posets import decode_json
     with open(args.spec, "r", encoding="utf-8") as fh:
         doc = decode_json(fh.read())
     spec = inflation_spec_from_json(doc, lambda n: _check_budget(
@@ -173,6 +178,9 @@ def _cmd_irf(args) -> int:
 
 
 def _cmd_wposet(args) -> int:
+    from .enumeration import tangled_report
+    from .families import WParams, build_w_poset
+    from .formulas import w_poset_tangled
     count = w_poset_tangled(args.a, args.b, args.c, args.d)
     print(count)
     if args.enumerate:
@@ -186,12 +194,15 @@ def _cmd_wposet(args) -> int:
 
 
 def _cmd_attach(args) -> int:
+    from .enumeration import GenFun
+    from .formulas import attach_antichain
     coeffs = [int(v) for v in args.gf.split()]
     print(attach_antichain(GenFun(tuple(coeffs)), args.k, args.mode))
     return 0
 
 
 def _cmd_pedestal(args) -> int:
+    from .formulas import pedestal_coeffs
     tails = pedestal_coeffs(args.n, args.l)
     print("b_tail: " + " ".join(str(v) for v in tails.b_tail))
     print("a_tail: " + " ".join(str(v) for v in tails.a_tail))
@@ -201,12 +212,14 @@ def _cmd_pedestal(args) -> int:
 
 
 def _cmd_ordsum(args) -> int:
+    from .formulas import ordinal_sum_antichains_g
     sizes = [int(v) for v in args.composition.split(",")]
     print(ordinal_sum_antichains_g(sizes))
     return 0
 
 
 def _cmd_broom(args) -> int:
+    from .formulas import broom_f
     print(broom_f(args.n, args.k))
     return 0
 
@@ -216,6 +229,7 @@ def _perm_text(perm) -> str:
 
 
 def _cmd_weak_order(args) -> int:
+    from .formulas import weak_order_family
     sizes = [int(v) for v in args.composition.split(",")]
     family = weak_order_family(sizes)
     for perm in sorted(family.vectors):
@@ -239,6 +253,7 @@ def _cmd_weak_order(args) -> int:
 
 
 def _cmd_gen_posets(args) -> int:
+    from .harness import _open_catalog, _write_catalog, poset_levels
     # the budgets are checked here, so a refused run opens no file, and the
     # output is opened before any level grows, so a bad --out fails at once
     levels = poset_levels(args.n, connected=args.connected, force=args.force,
@@ -252,6 +267,8 @@ def _cmd_gen_posets(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .enumeration import _check_budget
+    from .harness import CANON_MAX_N, PosetCatalog, poset_levels, scan_catalog
     if args.max_n <= CANON_MAX_N:  # past it, poset_levels refuses with no override to offer
         _check_budget(args.max_n, args.force, VERIFY_DEFAULT_MAX_N, "verify sweep poset elements")
     found = 0
@@ -400,6 +417,7 @@ def build_parser() -> _Parser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    from .enumeration import BudgetError
     try:
         return int(args.func(args))
     except BudgetError as exc:

@@ -77,6 +77,7 @@ from .posets import Poset, _bits, _short_repr, funnel_and_basins
 from .promotion import InternalError, _advance, _is_natural_pos, _natural_positions, _preimages
 
 DEFAULT_MAX_N = 9
+CLOSED_FORM_MAX_N = 400  # no override; see promotion_sorting.formulas
 
 
 class BudgetError(RuntimeError):
@@ -267,6 +268,11 @@ def tangled_report(p: Poset, workers: int = 1, force: bool = False) -> TangleRep
     always report zero.  A search over more than 256 elements is refused
     (``BudgetError``, no override) before any block starts.
     """
+    return _tangled_counts(p, workers, force)[0]
+
+
+def _tangled_counts(p: Poset, workers: int, force: bool) -> tuple[TangleReport, frozenset]:
+    """``tangled_report`` and the funnel elements it credits without search."""
     if p.n < 2:
         raise ValueError("tangled labelings need at least two elements")
     _check_budget(p.n, force)
@@ -275,6 +281,7 @@ def tangled_report(p: Poset, workers: int = 1, force: bool = False) -> TangleRep
     if pairs:  # a search keys its states by bytes, one element index per byte
         _check_budget(p.n, None, 256, "tangled search poset elements")
     by_element = _histogram(p, _tangled_task, pairs, workers)
-    for r in frozenset().union(*funnels.values()):
+    in_funnel = frozenset().union(*funnels.values())
+    for r in in_funnel:
         by_element[r] += factorial(p.n - 2)
-    return TangleReport(tuple(by_element))
+    return TangleReport(tuple(by_element)), in_funnel

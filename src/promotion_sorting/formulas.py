@@ -7,8 +7,8 @@ and the test suite keeps the two routes in agreement.
 Every size refusal goes through ``enumeration._check_budget``.  The families
 built on a realized poset (inflated forests, W-posets, attached antichains,
 pedestals, stacks of antichains, brooms) refuse one larger than
-``CLOSED_FORM_MAX_N`` elements with no override (``force=None``): their
-big-integer arithmetic grows polynomially in that size, to at most about
+``enumeration.CLOSED_FORM_MAX_N`` elements with no override (``force=None``):
+their big-integer arithmetic grows polynomially in that size, to at most about
 0.4 s at the cap on a 2-vCPU machine.  ``weak_order_family`` refuses more
 than 6 entries the same way.  The CLI reuses the cap for ``order``,
 ``promote``, ``lift`` and ``export-dot``, and caps ``promote`` at
@@ -25,7 +25,7 @@ from math import comb, factorial
 from operator import le
 from typing import Optional, Sequence
 
-from .enumeration import GenFun, _check_budget
+from .enumeration import CLOSED_FORM_MAX_N, GenFun, _check_budget
 from .families import InflationSpec, build_inflation
 from .posets import Poset, _check_ints, _short_repr
 from .promotion import InternalError
@@ -41,9 +41,6 @@ class ModeError(ValueError):
 
 class DistinctnessError(ValueError):
     """A composition that must have distinct entries repeats one."""
-
-
-CLOSED_FORM_MAX_N = 400
 
 
 # -- tangled counts for inflated rooted forests --------------------------------

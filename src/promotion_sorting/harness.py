@@ -88,11 +88,9 @@ from dataclasses import dataclass
 from operator import eq, itemgetter
 from typing import Iterable, Iterator
 
-from .enumeration import (TangleReport, _check_budget, _check_workers, _run_chunks,
-                          sequence_shape, sorting_gf, tangled_report)
-from .formulas import CLOSED_FORM_MAX_N
-from .posets import (Poset, _bits, _check_ints, funnel_and_basins, poset_from_json,
-                     poset_to_json)
+from .enumeration import (CLOSED_FORM_MAX_N, TangleReport, _check_budget, _check_workers,
+                          _run_chunks, _tangled_counts, sequence_shape, sorting_gf)
+from .posets import Poset, _bits, _check_ints, poset_from_json, poset_to_json
 from .promotion import InternalError
 
 CANON_MAX_N = 10
@@ -508,10 +506,9 @@ def check_conjectures(p: Poset, force: bool = False) -> ConjectureReport:
     one minimal element); hodges when the total is at most (n-m)(n-2)! for
     m minimal elements; n-1 when it is at most (n-1)!.
     """
-    report = tangled_report(p, force=force)
+    report, in_funnel = _tangled_counts(p, 1, force)
     n = p.n
     bound = math.factorial(n - 2)
-    in_funnel = frozenset().union(*funnel_and_basins(p).values())
     holds = (
         all(c <= bound and (c == bound) == (x in in_funnel)
             for x, c in enumerate(report.by_element)),

@@ -129,7 +129,9 @@ def test_wposet(capsys):
 
 
 def test_wposet_mismatch_exits_three(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "w_poset_tangled", lambda a, b, c, d: 571)
+    import promotion_sorting.formulas as formulas
+
+    monkeypatch.setattr(formulas, "w_poset_tangled", lambda a, b, c, d: 571)
     code, out, _ = run(capsys, "wposet", "--a", "1", "--b", "1", "--c", "1", "--d", "1",
                        "--enumerate", "--threads", "1")
     assert code == 3
@@ -328,12 +330,14 @@ def test_canonical_form_cap_has_no_override(capsys, argv):
 def test_verify_counterexample_exit(capsys, monkeypatch):
     from types import SimpleNamespace
 
+    import promotion_sorting.harness as harness
+
     def fake_scan(catalog, unimodal, workers, force):
         bad = SimpleNamespace(by_element=(9, 9), failed=("n-2", "n-1"))
         return SimpleNamespace(scanned=len(catalog), failures=((0, bad),),
                                non_unimodal=())
 
-    monkeypatch.setattr(cli, "scan_catalog", fake_scan)
+    monkeypatch.setattr(harness, "scan_catalog", fake_scan)
     code, out, _ = run(capsys, "verify", "--max-n", "2")
     assert code == 3
     assert "  counterexample: covers=[(0, 1)] counts=[9, 9] failed=n-2,n-1\n" in out
@@ -348,16 +352,17 @@ def test_verify_names_the_broken_bounds(capsys, monkeypatch, delta, failed):
     from promotion_sorting import TangleReport
     from promotion_sorting.harness import canonicalize
 
-    count = harness.tangled_report
+    count = harness._tangled_counts
     target = canonicalize(chain(4))
 
-    def skewed(p, **kwargs):
-        by_element = list(count(p, **kwargs).by_element)
+    def skewed(p, *args):
+        report, in_funnel = count(p, *args)
+        by_element = list(report.by_element)
         if canonicalize(p) == target:
             by_element[-1] += delta
-        return TangleReport(tuple(by_element))
+        return TangleReport(tuple(by_element)), in_funnel
 
-    monkeypatch.setattr(harness, "tangled_report", skewed)
+    monkeypatch.setattr(harness, "_tangled_counts", skewed)
     code, out, _ = run(capsys, "verify", "--max-n", "4", "--threads", "1")
     assert code == 3
     lines = [line for line in out.splitlines() if "counterexample:" in line]

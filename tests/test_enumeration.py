@@ -579,6 +579,17 @@ def test_no_funnel_pair_is_dispatched(monkeypatch, p):
                                   for b in basins(p))
 
 
+def test_tangled_counts_return_the_credited_funnel_elements():
+    # check_conjectures reads the funnel elements from here, not from a
+    # second funnel_and_basins call
+    from promotion_sorting.enumeration import _tangled_counts
+
+    for n in range(2, 7):
+        for p in generate_posets(n).entries:
+            in_funnel = frozenset().union(*funnel_and_basins(p).values())
+            assert _tangled_counts(p, 1, False) == (tangled_report(p), in_funnel)
+
+
 def test_serial_dispatch_reads_no_cpu_count(monkeypatch):
     # one worker runs in this process whatever the machine, so a serial
     # sweep never asks for the CPU count: neither the scan's own dispatch

@@ -639,12 +639,13 @@ def _reference_failed(p, counts):
 
 def test_check_conjectures_matches_the_reference_bounds(monkeypatch):
     # every poset with n <= 6, each element's count skewed in turn by -1, +1
-    # and (n-1)!, fed through a stand-in tangled_report
+    # and (n-1)!, fed through a stand-in tangled count
     import promotion_sorting.harness as harness
     from promotion_sorting import TangleReport, tangled_report
 
     fed = []
-    monkeypatch.setattr(harness, "tangled_report", lambda p, **kwargs: TangleReport(fed[-1]))
+    monkeypatch.setattr(harness, "_tangled_counts", lambda p, *args: (
+        TangleReport(fed[-1]), frozenset().union(*funnel_and_basins(p).values())))
     verdicts = set()
     for n in range(2, 7):
         for p in generate_posets(n).entries:
@@ -719,14 +720,15 @@ def test_unimodal_scan_checks_the_two_routes_agree(monkeypatch):
     import promotion_sorting.harness as harness
     from promotion_sorting import InternalError, TangleReport
 
-    count = harness.tangled_report
+    count = harness._tangled_counts
 
-    def over_count(p, **kwargs):
-        by_element = list(count(p, **kwargs).by_element)
+    def over_count(p, *args):
+        report, in_funnel = count(p, *args)
+        by_element = list(report.by_element)
         by_element[-1] += 1
-        return TangleReport(tuple(by_element))
+        return TangleReport(tuple(by_element)), in_funnel
 
-    monkeypatch.setattr(harness, "tangled_report", over_count)
+    monkeypatch.setattr(harness, "_tangled_counts", over_count)
     cat = generate_posets(4, connected=True)
     with pytest.raises(InternalError, match="tangled"):
         scan_catalog(cat, unimodal=True)
@@ -740,16 +742,17 @@ def test_scan_reports_only_the_failing_poset(monkeypatch, fresh_pool):
     cat = generate_posets(4)
     target = canonicalize(chain(4))
     idx = next(i for i, p in enumerate(cat.entries) if canonicalize(p) == target)
-    count = harness.tangled_report
+    count = harness._tangled_counts
 
     def skew_top_count(delta):
-        def skewed(p, **kwargs):
-            by_element = list(count(p, **kwargs).by_element)
+        def skewed(p, *args):
+            report, in_funnel = count(p, *args)
+            by_element = list(report.by_element)
             if canonicalize(p) == target:
                 by_element[-1] += delta
-            return TangleReport(tuple(by_element))
+            return TangleReport(tuple(by_element)), in_funnel
 
-        monkeypatch.setattr(harness, "tangled_report", skewed)
+        monkeypatch.setattr(harness, "_tangled_counts", skewed)
         fresh_pool()
 
     # the chain's top element exceeds (n-1)!, so every bound breaks
@@ -764,3 +767,21 @@ def test_scan_reports_only_the_failing_poset(monkeypatch, fresh_pool):
     for workers in (1, 2):
         report = scan_catalog(cat, workers=workers)
         assert [(i, r.failed) for i, r in report.failures] == [(idx, ("n-2",))]
+
+
+def test_scan_finds_each_posets_funnels_once(monkeypatch):
+    # check_conjectures takes the funnel elements from the tangled count
+    # that credited them, so a serial scan finds each poset's funnels once
+    import sys
+
+    calls = []
+
+    def spy(p):
+        calls.append(p)
+        return funnel_and_basins(p)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("promotion_sorting.") and hasattr(module, "funnel_and_basins"):
+            monkeypatch.setattr(module, "funnel_and_basins", spy)
+    report = scan_catalog(generate_posets(7, connected=True))
+    assert (report.scanned, report.passed, len(calls)) == (1650, True, 1650)
