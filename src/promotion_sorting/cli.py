@@ -277,8 +277,9 @@ def _cmd_verify(args) -> int:
     for n, level in enumerate(levels, start=1):
         if n < 2:
             continue
-        entries = tuple(p for p in level if args.all_posets or n == args.max_n or p.is_connected())
-        catalog = PosetCatalog(n=n, connected_only=not args.all_posets, entries=entries)
+        if not (args.all_posets or n == args.max_n):
+            level = tuple(p for p in level if p.is_connected())
+        catalog = PosetCatalog(n=n, connected_only=not args.all_posets, entries=level)
         report = scan_catalog(catalog, unimodal=args.unimodal, workers=args.threads,
                               force=args.force)
         line = f"n={n}: {report.scanned} posets, {len(report.failures)} counterexamples"

@@ -68,6 +68,7 @@ from __future__ import annotations
 import atexit
 import os
 from dataclasses import dataclass
+from functools import partial
 from itertools import accumulate, permutations, repeat
 from math import factorial
 from multiprocessing import Pool
@@ -174,17 +175,16 @@ def _run_chunks(worker, tasks, workers: int):
 
 
 def _histogram(p: Poset, task, tails, workers: int) -> list[int]:
-    """Sum of ``task((p, tail))`` over ``tails``; zeros when there are none."""
-    results = _run_chunks(task, [(p, tail) for tail in tails], workers)
+    """Sum of ``task(p, tail)`` over ``tails``; zeros when there are none."""
+    results = _run_chunks(partial(task, p), tails, workers)
     return [sum(col) for col in zip([0] * p.n, *results)]
 
 
 # -- order histogram (sorting generating function) -----------------------------
 
-def _gf_task(args) -> list[int]:
+def _gf_task(p: Poset, tail: tuple) -> list[int]:
     """Sorting-time counts over the inverse-promotion trees rooted at the
     natural labelings whose top labels sit on ``tail`` (see the module docstring)."""
-    p, tail = args
     above, below, n = p.above, p.below, p.n
     maximal = sum(1 << e for e in p.maximals)
     counts = [0] * (n + 1)
@@ -234,12 +234,12 @@ class TangleReport:
         return sum(self.by_element)
 
 
-def _tangled_task(args) -> list[int]:
+def _tangled_task(p: Poset, pair: tuple[int, int]) -> list[int]:
     """Tangled counts over the labelings with label n - 1 on ``r`` and label
-    n on the basin ``b``, for ``args = (p, (r, b))``, all credited to ``r``:
+    n on the basin ``b``, for ``pair = (r, b)``, all credited to ``r``:
     a level-wise search over the low parts of the arrays, each state with
     its multiplicity (see the module docstring)."""
-    p, (r, b) = args
+    r, b = pair
     above, up, pad = p.above, p.above[b], (r, *p.maximals)
     others = [e for e in range(p.n) if e != r and e != b]
     level = zip(permutations(others), repeat(1))

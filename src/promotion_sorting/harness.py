@@ -85,6 +85,7 @@ import math
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import partial
 from operator import eq, itemgetter
 from typing import Iterable, Iterator
 
@@ -334,7 +335,7 @@ class PosetCatalog:
         return len(self.entries)
 
 
-def _grow_task(args) -> list[tuple[bytes, int]]:
+def _grow_task(p: Poset, connected: bool) -> list[tuple[bytes, int]]:
     """``(canonical form, ideal mask)`` of the first child of ``p`` in each
     isomorphism class, children taken one per lower ideal in mask order;
     one ideal per twin orbit is tried, and with ``connected`` only the
@@ -343,7 +344,6 @@ def _grow_task(args) -> list[tuple[bytes, int]]:
     Each child's refinement inputs and digit rows are the parent's, changed
     only on the ideal's elements and the new element n; no child is built.
     """
-    p, connected = args
     n = p.n
     components = p.components() if connected else ()
     elements = [(e, 1 << e, above, h + 1) for e, (above, h) in enumerate(zip(p.above, p.heights))]
@@ -420,14 +420,14 @@ def _grow_levels(max_n: int, connected: bool, workers: int) -> Iterator[Sequence
     for k in range(1, max_n):
         yield tuple(map(level.__getitem__, sorted(level)))
         parents = tuple(level.values())
-        tasks = [(p, connected and k + 1 == max_n) for p in parents]
+        task = partial(_grow_task, connected=connected and k + 1 == max_n)
         firsts: dict[bytes, int] = {}
-        for index, children in enumerate(_run_chunks(_grow_task, tasks, workers)):
+        for index, children in enumerate(_run_chunks(task, parents, workers)):
             for form, mask in children:
                 firsts.setdefault(form, index << k | mask)
         if k + 1 == max_n:
             codes = array("q", map(firsts.__getitem__, sorted(firsts)))
-            del level, tasks, firsts  # only the parents and one int per class stay alive
+            del level, firsts  # only the parents and one int per class stay alive
             yield _GrownLevel(parents, codes)
             return
         level = dict(zip(firsts, _GrownLevel(parents, array("q", firsts.values()))))
@@ -532,10 +532,9 @@ class ScanReport:
         return not self.failures
 
 
-def _scan_one(args):
+def _scan_one(p: Poset, unimodal: bool, force: bool):
     """``(report, coeffs)`` for one poset: the report only when a check
     fails, and f only when it is not unimodal; ``None`` otherwise."""
-    p, unimodal, force = args
     report = check_conjectures(p, force=force) if p.n >= 2 else None
     coeffs = None
     if unimodal:
@@ -558,12 +557,11 @@ def scan_catalog(catalog: PosetCatalog, unimodal: bool = False, workers: int = 1
     From n = 2 on, f's top coefficient must equal the tangled count, or the
     two routes disagree: ``InternalError``.
     """
-    tasks = [(p, unimodal, force) for p in catalog.entries]
-    results = list(_run_chunks(_scan_one, tasks, workers))
-    return ScanReport(
-        scanned=len(tasks),
-        failures=tuple((idx, report) for idx, (report, _) in enumerate(results)
-                       if report is not None),
-        non_unimodal=tuple((idx, coeffs) for idx, (_, coeffs) in enumerate(results)
-                           if coeffs is not None),
-    )
+    failures, non_unimodal = [], []
+    task = partial(_scan_one, unimodal=unimodal, force=force)
+    for idx, (report, coeffs) in enumerate(_run_chunks(task, catalog.entries, workers)):
+        if report is not None:
+            failures.append((idx, report))
+        if coeffs is not None:
+            non_unimodal.append((idx, coeffs))
+    return ScanReport(len(catalog.entries), tuple(failures), tuple(non_unimodal))

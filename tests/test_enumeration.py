@@ -316,7 +316,7 @@ def test_tangled_split_invariance(monkeypatch, p):
             pass
 
         def imap(self, worker, tasks, chunksize):
-            seen.append((worker, [tail for _, tail in tasks]))
+            seen.append((worker.func, list(tasks)))
             return map(worker, tasks)
 
     monkeypatch.setattr(enumeration, "Pool", FakePool)
@@ -352,9 +352,9 @@ def test_task_lists_cover_each_space_once(monkeypatch):
     first_level = []  # the block's (r, b) and how many first-level steps are left
     kernel, step = enumeration._tangled_task, enumeration._advance
 
-    def task(args):
-        first_level[:] = [args[1], factorial(args[0].n - 2)]
-        return kernel(args)
+    def task(p, pair):
+        first_level[:] = [pair, factorial(p.n - 2)]
+        return kernel(p, pair)
 
     def record(above, pos):
         (r, b), left = first_level
@@ -508,7 +508,7 @@ def test_funnel_credit_matches_enumerating_every_pair_at_seven():
         for b in basins(p):
             for r in range(p.n):
                 if (p.above[b] >> r) & 1:
-                    by_element[r] += _tangled_task((p, (r, b)))[r]
+                    by_element[r] += _tangled_task(p, (r, b))[r]
         assert tangled_report(p).by_element == tuple(by_element)
 
 
@@ -518,7 +518,7 @@ def _assert_kernels_agree_on_every_pair(posets) -> None:
     for p in posets:
         for b in basins(p):
             for r in _bits(p.above[b]):
-                assert (_tangled_task((p, (r, b)))
+                assert (_tangled_task(p, (r, b))
                         == _per_labeling_tangled_task((p, (r, b)))), (p, r, b)
 
 
@@ -547,7 +547,7 @@ def test_tangled_block_memory_is_bounded():
     for pair in pairs:
         tracemalloc.start()
         try:
-            counts = _tangled_task((W2221, pair))
+            counts = _tangled_task(W2221, pair)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -564,9 +564,9 @@ def test_no_funnel_pair_is_dispatched(monkeypatch, p):
 
     dispatched = []
 
-    def record(args):
-        dispatched.append(args[1])
-        return _tangled_task(args)
+    def record(p, pair):
+        dispatched.append(pair)
+        return _tangled_task(p, pair)
 
     monkeypatch.setattr(enumeration, "_tangled_task", record)
     funnels = funnel_and_basins(p)

@@ -233,8 +233,8 @@ def test_grow_task_prunes_no_first_child():
         reference.setdefault(p, {}).setdefault(canonicalize(child), (mask, child))
     for p, firsts in reference.items():
         pairs = [(key, mask) for key, (mask, _) in firsts.items()]
-        assert _grow_task((p, False)) == pairs
-        assert _grow_task((p, True)) == [
+        assert _grow_task(p, False) == pairs
+        assert _grow_task(p, True) == [
             (key, mask) for key, (mask, child) in firsts.items() if child.is_connected()]
 
 
@@ -269,7 +269,7 @@ def test_grow_task_forms_match_built_children(monkeypatch):
     monkeypatch.setattr(harness, "Poset", no_child)
     monkeypatch.setattr(harness, "_extend_by_maximal", no_child)
     for (p, connected), pairs in want.items():
-        assert _grow_task((p, connected)) == pairs, (p.covers, connected)
+        assert _grow_task(p, connected) == pairs, (p.covers, connected)
 
 
 @pytest.mark.parametrize("n, connected, forms", [
@@ -785,3 +785,64 @@ def test_scan_finds_each_posets_funnels_once(monkeypatch):
             monkeypatch.setattr(module, "funnel_and_basins", spy)
     report = scan_catalog(generate_posets(7, connected=True))
     assert (report.scanned, report.passed, len(calls)) == (1650, True, 1650)
+
+
+def test_dispatch_passes_each_callers_own_sequence(monkeypatch, capsys):
+    # every _run_chunks caller binds its fixed arguments to the worker and
+    # hands over the sequence it already holds, so no task list is built:
+    # the scan passes catalog.entries itself, verify's last level goes as
+    # the grown level, growth passes its tuple of parents, and gf and
+    # tangled pass tails and pairs of element indices, with no poset inside
+    import promotion_sorting.enumeration as enumeration
+    import promotion_sorting.harness as harness
+    from promotion_sorting.harness import _GrownLevel
+
+    run_chunks = enumeration._run_chunks
+    calls = []
+
+    def spy(worker, tasks, workers):
+        calls.append((getattr(worker, "func", worker), tasks))
+        return run_chunks(worker, tasks, workers)
+
+    monkeypatch.setattr(enumeration, "_run_chunks", spy)
+    monkeypatch.setattr(harness, "_run_chunks", spy)
+
+    def tasks_of(worker):
+        return [tasks for func, tasks in calls if func is worker]
+
+    cat = generate_posets(5, connected=True)
+    grown = tasks_of(harness._grow_task)
+    assert len(grown) == 4
+    assert all(type(tasks) is tuple and all(type(p) is Poset for p in tasks) for tasks in grown)
+    calls.clear()
+    scan_catalog(cat, unimodal=True)
+    assert [tasks is cat.entries for tasks in tasks_of(harness._scan_one)] == [True]
+    gf, tangled = tasks_of(enumeration._gf_task), tasks_of(enumeration._tangled_task)
+    assert len(gf) == len(cat) and len(tangled) == len(cat)
+    assert any(tasks for tasks in tangled)
+    assert all(type(task) is tuple and all(type(e) is int for e in task)
+               for tasks in gf + tangled for task in tasks)
+    calls.clear()
+    assert main(["verify", "--max-n", "5", "--threads", "1"]) == 0
+    capsys.readouterr()
+    scanned = tasks_of(harness._scan_one)
+    assert [type(tasks) for tasks in scanned] == [tuple, tuple, tuple, _GrownLevel]
+    assert len(scanned[-1]) == CONNECTED_COUNTS[5]
+
+
+@pytest.mark.slow
+def test_serial_scan_traced_peak_is_bounded():
+    # the scan reads each poset from the catalog as it runs and keeps only
+    # the failing and flagged results: about 0.4 MiB traced, where a task
+    # list and one result pair per poset peaked at 1.43 MiB
+    import tracemalloc
+
+    cat = generate_posets(7, connected=True)
+    tracemalloc.start()
+    try:
+        report = scan_catalog(cat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (report.scanned, report.passed) == (1650, True)
+    assert peak < 0.8 * 2**20
