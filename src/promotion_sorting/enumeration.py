@@ -153,16 +153,20 @@ def _check_workers(workers) -> None:
                          f"got {_short_repr(workers)}")
 
 
+_MAX_BATCH = 64
 _pool = None  # (processes, Pool): this process's one pool, terminated at exit
 atexit.register(lambda: _pool and _pool[1].terminate())
 
 
 def _run_chunks(worker, tasks, workers: int):
     """``worker(t)`` for each of ``tasks``, in task order: ``map`` here for
-    one process or at most one task, else ``imap`` (batched as ``Pool.map``
-    would) on this process's one pool of ``min(workers, CPUs)`` processes,
-    started at the first such call and replaced by a call with another
-    count.  The worker count passes :func:`_check_workers` first."""
+    one process or at most one task, else ``imap`` on this process's one
+    pool of ``min(workers, CPUs)`` processes, started at the first such call
+    and replaced by a call with another count.  A batch is a quarter of
+    the tasks per process, rounded up, as ``Pool.map`` cuts them, but at
+    most ``_MAX_BATCH`` tasks, so the last batch of a long sequence leaves
+    the other workers idle only briefly.  The worker count passes
+    :func:`_check_workers` first."""
     global _pool
     _check_workers(workers)
     if workers == 1 or len(tasks) <= 1 or (processes := min(workers, os.cpu_count() or 1)) == 1:
@@ -171,7 +175,7 @@ def _run_chunks(worker, tasks, workers: int):
         if _pool is not None:
             _pool[1].terminate()
         _pool = processes, Pool(processes)
-    return _pool[1].imap(worker, tasks, -(-len(tasks) // (4 * processes)))
+    return _pool[1].imap(worker, tasks, min(-(-len(tasks) // (4 * processes)), _MAX_BATCH))
 
 
 def _histogram(p: Poset, task, tails, workers: int) -> list[int]:

@@ -41,23 +41,41 @@ and search would give them:
 
 Catalogs grow level by level: every poset on n + 1 elements is a poset on
 n elements plus a new maximal element whose strict down-set is a lower
-order ideal I, and the child over the smallest ideal mask (parents taken in
-order) represents its class.  Two kinds of children are skipped, and
-neither skip changes a representative:
+order ideal I.  Children are taken one per ideal, parents in order and each
+parent's masks in increasing order, and the first child of each class that
+passes three skips represents it:
 
+- Canonical deletion, after McKay's canonical construction path (J.
+  Algorithms 26, 1998).  The new element n has the initial key (|I|, 0,
+  height, 0, number of maximal elements of I).  An element has fewer
+  elements below it than anything above it has, and the below count is
+  the key's first digit, so every element of I has a smaller key than n,
+  and the parent's largest key is a maximal element's.  A maximal element
+  of the parent outside I is maximal in the child and keeps its parent
+  key, since nothing changes above or below it.  So n has the largest key
+  among the child's maximal elements exactly when its key is at least the
+  parent's largest; growth skips every other child before any child row,
+  refinement or form.  Initial keys are invariant under isomorphism.  Let
+  x be a maximal element of a class C with the largest key: C - x is
+  isomorphic to some parent P, so C has a child of P, over the image of
+  x's down-set, in which n plays x and passes.
 - Twin orbits.  Twins are elements of the parent with equal up- and
-  down-sets.  Swapping two twins is an automorphism of the parent, so it
-  maps the child over I to an isomorphic child.  Moving an ideal's bit to
-  a lower-indexed twin makes the mask smaller, so the smallest mask of a
-  twin orbit holds, in each twin class, the lowest-indexed members; the
-  smallest mask of an isomorphism class is the smallest of its own orbit.
-  Growth therefore tries only the ideals that hold a prefix, in index
-  order, of every twin class.
+  down-sets.  Swapping two twins is an automorphism of the parent that
+  fixes n, so it maps the child over I to an isomorphic child, n to n,
+  and the two pass or fail together.  Moving an ideal's bit to a
+  lower-indexed twin makes the mask smaller, so the smallest mask of a
+  twin orbit holds, in each twin class, the lowest-indexed members.
+  Growth tries only the ideals that hold a prefix, in index order, of
+  every twin class, and the first passing child is the one the whole
+  list of ideals would give.
 - Disconnected children.  The new element joins exactly the components of
   the parent that I meets, so the child is connected exactly when I meets
-  every component.  Isomorphic children are both connected or both not, so
-  a connected-only level tries only those ideals and keeps the first mask
-  of every connected class.
+  every component.  A connected-only level tries only those ideals; when
+  C is connected, the ideal over which n plays x meets every component.
+
+So every class keeps at least one tried child.  Every level below the
+last holds every poset, connected or not, as canonical deletion needs.  The
+representative depends only on the parent order, not on the worker count.
 
 No child is built to compute its form.  The child over I differs from its
 parent only at the elements of I and at the new element n.  Each element of
@@ -337,43 +355,48 @@ class PosetCatalog:
 
 def _grow_task(p: Poset, connected: bool) -> list[tuple[bytes, int]]:
     """``(canonical form, ideal mask)`` of the first child of ``p`` in each
-    isomorphism class, children taken one per lower ideal in mask order;
-    one ideal per twin orbit is tried, and with ``connected`` only the
-    ideals giving connected children (see the module docstring).
+    isomorphism class whose new element n has the largest initial key
+    among the child's maximal elements, children taken one per lower ideal
+    in mask order; one ideal per twin orbit is tried, and with
+    ``connected`` only the ideals giving connected children (see the
+    module docstring).
 
-    Each child's refinement inputs and digit rows are the parent's, changed
-    only on the ideal's elements and the new element n; no child is built.
+    The skip compares only n's key, read off the ideal's size, maximal
+    elements and their heights, with the largest key of ``p``.  A passing
+    child's refinement inputs and digit rows are the parent's, changed
+    only on the ideal's elements and n; no child is built.
     """
     n = p.n
     components = p.components() if connected else ()
-    elements = [(e, 1 << e, above, h + 1) for e, (above, h) in enumerate(zip(p.above, p.heights))]
+    above = p.above
+    raised = [h + 1 for h in p.heights]
     cover_up, cover_down = _cover_lists(n, p.covers)
     width = _digit_width(n + 1)
     keys = _initial_keys(p, cover_up, cover_down, width)
+    # a child passes when n's key is at least this (see the module docstring)
+    leader = max(keys)
     # an element of the ideal gains n above it; a maximal one gains n as a cover too
     in_ideal = 1 << 3 * width
-    ideal_top = in_ideal | 1 << width
+    new_cover = 1 << width
     up_with_n = [[*ups, n] for ups in cover_up]
     rows = [(row + b"\0\0", row + b"\1\0") for row in _digit_rows(p, n)]
     firsts: dict[bytes, int] = {}
     for mask in _orbit_ideal_masks(p):
         if not all(mask & c for c in components):
             continue
+        tops = [e for e in _bits(mask) if not above[e] & mask]
+        key = (mask.bit_count() << 4 * width
+               | max(map(raised.__getitem__, tops), default=0) << 2 * width | len(tops))
+        if key < leader:
+            continue
         child_keys = keys[:]
+        for e in _bits(mask):
+            child_keys[e] += in_ideal
         child_up = cover_up[:]
-        tops = []
-        height = 0
-        for e, bit, above, h in elements:
-            if not mask & bit:
-                continue
-            if above & mask:
-                child_keys[e] += in_ideal
-            else:
-                child_keys[e] += ideal_top
-                child_up[e] = up_with_n[e]
-                tops.append(e)
-                height = max(height, h)
-        child_keys.append(mask.bit_count() << 4 * width | height << 2 * width | len(tops))
+        for e in tops:
+            child_keys[e] += new_cover
+            child_up[e] = up_with_n[e]
+        child_keys.append(key)
         child_up.append(())
         child_rows = [pair[mask >> e & 1] for e, pair in enumerate(rows)]
         child_rows.append((2 * _SPREAD[mask]).to_bytes(n + 2, "little"))
@@ -390,8 +413,9 @@ def poset_levels(max_n: int, connected: bool = False, force: bool = False,
 
     Grows size by size, as the module docstring sets out.  Each level runs
     one ``_grow_task`` per parent through ``_run_chunks``, which returns
-    (canonical form, ideal mask) pairs in parent order, and the first-seen
-    child of each form represents its class whatever ``workers`` is.  Each
+    (canonical form, ideal mask) pairs in parent order, and the first
+    passing child of each form represents its class whatever ``workers``
+    is.  Each
     level is sorted by canonical form, so catalogs are deterministic.  The
     levels below the last are tuples, built once as the next level's
     parents; the last is a read-only sequence of (parent, ideal mask) codes

@@ -1,5 +1,6 @@
 """End-to-end command-line checks, run in process through main()."""
 
+import hashlib
 import json
 
 import pytest
@@ -235,6 +236,18 @@ def test_verify_clean_sweep(capsys):
     lines = out.splitlines()
     assert lines[0] == "n=2: 1 posets, 0 counterexamples, 0 non-unimodal"
     assert lines[-1] == "n=4: 10 posets, 0 counterexamples, 0 non-unimodal"
+
+
+@pytest.mark.parametrize("argv, digest", [
+    pytest.param(("--max-n", "7", "--force"),
+                 "198223e81ddba94d39c1a3e0623729e4d87b6f85929a1bec0bc1edbde90c8a1f", id="7"),
+    pytest.param(("--max-n", "6", "--all-posets", "--unimodal"),
+                 "46a96f7afc6dd374856aa28842940d0c672ee232da638bc427c5d4ee8eb47f45",
+                 id="6-all-unimodal")])
+def test_verify_stdout_is_pinned(capsys, argv, digest):
+    # the whole report; which child of its class growth keeps must not show
+    code, out, _ = run(capsys, "verify", *argv)
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_verify_tests_connectedness_below_the_last_level_only(capsys, monkeypatch):

@@ -162,9 +162,7 @@ def test_worker_count_is_clamped(monkeypatch):
             self.terminated = True
 
         def imap(self, worker, tasks, chunksize):
-            # the batch size Pool.map would pick
-            assert chunksize == -(-len(tasks) // (4 * self.processes))
-            dispatched.append(len(tasks))
+            dispatched.append((len(tasks), chunksize))
             return map(worker, tasks)
 
     monkeypatch.setattr(enumeration, "Pool", FakePool)
@@ -176,11 +174,17 @@ def test_worker_count_is_clamped(monkeypatch):
     # growth runs one task per parent: 1, 2, 5 and 16 parents for n = 2..5,
     # and the one-task level runs in this process
     assert generate_posets(5, workers=64) == generate_posets(5)
+    # a batch is a quarter of the tasks per process, as Pool.map cuts them,
+    # but at most 64 tasks
+    for size in (768, 769, 5000):
+        assert list(enumeration._run_chunks(abs, range(-size, 0), 3)) == list(range(size, 0, -1))
     assert [(pool.processes, pool.terminated) for pool in pools] == [(3, False)]
     monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 64)
     assert scan_catalog(cat, workers=1000) == scan_catalog(cat)
     assert [(pool.processes, pool.terminated) for pool in pools] == [(3, True), (64, False)]
-    assert dispatched == [9, len(cat), 2, 5, 16, len(cat)]
+    batches = [(9, 1), (len(cat), 1), (2, 1), (5, 1), (16, 2),
+               (768, 64), (769, 64), (5000, 64), (len(cat), 1)]
+    assert dispatched == batches
     # a worker count is a plain int: floats, strings and bools are refused
     # before any pool starts, chain(3) with no task to dispatch included
     for bad in (0, -3, 2.0, "2", True):
@@ -198,7 +202,7 @@ def test_worker_count_is_clamped(monkeypatch):
         # one level builds no pool, so the count is checked before it
         with pytest.raises(ValueError, match=match):
             generate_posets(1, workers=bad)
-    assert len(pools) == 2 and dispatched == [9, len(cat), 2, 5, 16, len(cat)]
+    assert len(pools) == 2 and dispatched == batches
 
 
 def test_one_pool_per_process(monkeypatch, fresh_pool):

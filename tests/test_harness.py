@@ -35,9 +35,9 @@ from promotion_sorting import (
 )
 from promotion_sorting.cli import main
 from promotion_sorting.enumeration import _check_budget
-from promotion_sorting.harness import (ALL_CHECKS, CANON_MAX_N, _extend_by_maximal,
-                                       _grow_task, _orbit_ideal_masks, _refined_classes,
-                                       poset_levels)
+from promotion_sorting.harness import (ALL_CHECKS, CANON_MAX_N, _cover_lists, _digit_width,
+                                       _extend_by_maximal, _grow_task, _initial_keys,
+                                       _orbit_ideal_masks, _refined_classes, poset_levels)
 from promotion_sorting.posets import _bits, funnel_and_basins
 
 LAMBDA = Poset(3, [(0, 2), (1, 2)])
@@ -226,11 +226,22 @@ def test_closure_free_child_matches_a_closed_build():
     assert count == 6377
 
 
+def _new_element_leads(child):
+    """Whether the child's last element, the one growth added, has the
+    largest initial key among the child's maximal elements, read off the
+    child built whole."""
+    keys = _initial_keys(child, *_cover_lists(child.n, child.covers), _digit_width(child.n))
+    return all(keys[x] <= keys[-1] for x in child.maximals)
+
+
 def test_grow_task_prunes_no_first_child():
-    # the reference canonicalizes every child and keeps the first per form
+    # the reference builds every child, over every lower ideal, keeps those
+    # whose new element leads, and takes the first of each form
     reference: dict = {}
     for p, mask, child in _children(6):
-        reference.setdefault(p, {}).setdefault(canonicalize(child), (mask, child))
+        firsts = reference.setdefault(p, {})
+        if _new_element_leads(child):
+            firsts.setdefault(canonicalize(child), (mask, child))
     for p, firsts in reference.items():
         pairs = [(key, mask) for key, (mask, _) in firsts.items()]
         assert _grow_task(p, False) == pairs
@@ -238,13 +249,28 @@ def test_grow_task_prunes_no_first_child():
             (key, mask) for key, (mask, child) in firsts.items() if child.is_connected()]
 
 
+@pytest.mark.parametrize("connected", [False, True], ids=["all", "connected"])
+def test_grow_task_loses_no_class(connected):
+    # with nothing skipped, the children of a level's parents hold every
+    # class of the next level, and growth must keep each of them
+    children: dict = {}
+    for _, _, child in _children(5):
+        if child.is_connected() or not connected:
+            children.setdefault(child.n, set()).add(canonicalize(child))
+    for n in range(2, 7):
+        grown = {canonicalize(p) for p in generate_posets(n, connected=connected).entries}
+        assert grown == children[n], n
+
+
 def _forms_of_built_children(p, connected):
-    """What ``_grow_task`` returns, from children built and canonicalized whole."""
+    """What ``_grow_task`` returns, from children built and canonicalized
+    whole, the rule read off each child's own keys."""
     components = p.components() if connected else ()
     firsts = {}
     for mask in _orbit_ideal_masks(p):
-        if all(mask & c for c in components):
-            firsts.setdefault(canonicalize(_extend_by_maximal(p, mask)), mask)
+        child = _extend_by_maximal(p, mask)
+        if all(mask & c for c in components) and _new_element_leads(child):
+            firsts.setdefault(canonicalize(child), mask)
     return list(firsts.items())
 
 
@@ -273,10 +299,10 @@ def test_grow_task_forms_match_built_children(monkeypatch):
 
 
 @pytest.mark.parametrize("n, connected, forms", [
-    pytest.param(7, False, 5070, id="7"),
-    pytest.param(7, True, 4017, id="7-connected"),
-    pytest.param(8, False, 44810, marks=pytest.mark.slow, id="8"),
-    pytest.param(8, True, 37569, marks=pytest.mark.slow, id="8-connected")])
+    pytest.param(7, False, 2656, id="7"),
+    pytest.param(7, True, 2211, id="7-connected"),
+    pytest.param(8, False, 21123, marks=pytest.mark.slow, id="8"),
+    pytest.param(8, True, 18378, marks=pytest.mark.slow, id="8-connected")])
 def test_forms_computed_per_catalog_are_pinned(monkeypatch, n, connected, forms):
     # every canonical form, the seed's and each child's, is read off by
     # _canonical_form once; growth must not compute more of them
@@ -436,8 +462,9 @@ def test_generation_determinism_and_order():
 
 
 def test_canonical_bytes_and_catalog_order_are_pinned(capsys):
-    # digests of the forms and of the CLI catalog as first computed; a change
-    # to the canonical-form search must leave both byte-identical
+    # the forms digest is as first computed: a change to the canonical-form
+    # search must leave it byte-identical; the catalog digests also pin each
+    # class's representative, its first child whose new element leads
     forms = b"\n".join(canonicalize(p) for p in generate_posets(7).entries)
     assert forms.count(b"\n") + 1 == 2045
     assert hashlib.sha256(forms).hexdigest() == (
@@ -446,23 +473,23 @@ def test_canonical_bytes_and_catalog_order_are_pinned(capsys):
     out = capsys.readouterr().out
     assert len(out.splitlines()) == 318
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "d6837914f02075866e2576e62587a2ed6d7e3fc85eca408526d8fd9f432c1f41")
+        "dfc1cf92656b82f25a8b8b3040e2d2f2e4bde5e112aa8ab3d369f2a656ecb3ff")
     assert main(["gen-posets", "--n", "7", "--connected"]) == 0
     out = capsys.readouterr().out
     assert len(out.splitlines()) == 1650
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "cc79dfdfbee20312957518b460d53e653baf2f371f6c77a76cbe3af3c4b5956b")
+        "b5563de7a152856b031065499fb971b8c83c5abad64ddd275f7b310c0de79832")
 
 
 @pytest.mark.slow
 def test_connected_catalog_8_is_pinned(tmp_path):
-    # digest of the file as written before connected growth was pruned
+    # the classes and, for each, its first child whose new element leads
     path = tmp_path / "catalog8.jsonl"
     assert main(["gen-posets", "--n", "8", "--connected", "--out", str(path)]) == 0
     data = path.read_bytes()
     assert data.count(b"\n") == 14512
     assert hashlib.sha256(data).hexdigest() == (
-        "3177e1e8bf1771253ae2d71ce80c06656a2fea3ef1c7daea207a80817a29fdde")
+        "2c266bcb0c8bc712fc9c7fdfe3aa0b7bd935d7643075bf100b5186d2e017fcfc")
 
 
 @pytest.mark.slow
