@@ -2,8 +2,8 @@
 
 Work is cut into tasks by fixed tails of the position array: a task pins
 the elements holding the top labels.  ``sorting_gf`` has one task per root
-tail (below), and ``tangled_report`` one per (basin b, element above b
-outside its funnel) pair, a search block of the tangled-chain lemma below.
+tail (below), and ``tangled_report`` one per (basin b, alive element
+outside b's funnel) pair, a search block of the tangled-chain lemma below.
 The task list depends only on the poset, never on the worker count, which
 only sets how many processes share it; results merge by plain addition.
 Everything here is exact integer arithmetic.
@@ -40,23 +40,40 @@ entry is c_k, and the low part after step k + 1 is a function of the low
 part after step k: the walk scans forward, so one that leaves the low part
 never comes back to it, and what it does above changes nothing below.  So
 the low part alone decides every later check.  Level k maps each distinct
-low part that passed the checks up to c_k to the number of the block's
-labelings that reach it, at most (n-2)! entries.  The next level promotes
-each once with ``_advance``, keeps those with c_{k+1} > b and adds the
-counts of equal ones; the block's tangled count is the sum at level n - 2.
-Level 0 holds the arrangements of the other labels, each once, without
-their last entry r.  Every low part is padded with r and the maximal
-elements: that restores level 0's r, and a walk that leaves a low part
-ends on the first maximal element above it.
+low part still undecided after c_k to the number of the block's labelings
+that reach it, at most (n-2)! entries.  The next level promotes each once
+with ``_advance`` and reads c_{k+1}, as below: it adds the state's count
+to the block's total, drops the state, or keeps it, adding the counts of
+equal ones.  Level 0 holds the arrangements of the other labels, each
+once, without their last entry r.  Every low part is padded with r and
+the maximal elements: that restores level 0's r, and a walk that leaves a
+low part ends on the first maximal element above it.
 
-A funnel block, r in b's funnel, is all tangled and is counted, not
-enumerated: every c_k <= c_0 = r, c_k != b since b holds label n - k, and
-every element <= r other than b lies above b, b being the only minimal
-element below r.  An element of b's funnel lies above no other basin, so
-each element's count is either this (n-2)! credit or its enumerated blocks.
-Only the blocks with r outside b's funnel are visited: the paper's equality
-"funnel => (n-2)!" follows from the lemma, and enumeration tests the
-per-element bound and the strict inequality off the funnels.
+The funnel decides every block early.  After k promotions of any labeling
+the labels n - k + 1, .., n sit frozen on an upper ideal (the fact behind
+Defant and Kravitz's n - 1 bound), so after n - 2 steps labels 1 and 2,
+held by c_{n-2} and b, sit on a two-element lower set.  In a tangled
+labeling c_{n-2} > b, so b is the only element below c_{n-2}: c_{n-2} lies
+in b's funnel.  With r = c_0 >= c_1 >= .. >= c_{n-2} this gives two rules.
+(1) A block (r, b) is empty unless r is alive for b: at or above some
+element of b's funnel.  The alive elements of b lie above b and are closed
+upward; a c_k that is not alive is above no funnel element, so neither is
+c_{n-2} <= c_k, and the state is dropped.  (2) Once some c_k lies in b's
+funnel, every later c is <= c_k and is not b, since b holds label n - k,
+and every element <= c_k other than b lies above b, b being the only
+minimal element below c_k; so the labeling is tangled, and the state's
+count is added without further steps.  The block's count is the total
+of its accepted states and of the states left at level n - 2; past n = 2,
+where level 0 is the last, none is left, since an alive c_{n-2} lies in
+the funnel by the frozen pair.
+
+A funnel block, r in b's funnel, is all tangled by (2) at k = 0 and is
+counted, not enumerated: (n-2)!.  An element of b's funnel lies above no
+other basin, so each element's count is either this credit or its
+enumerated blocks.  Only the blocks with r alive for b and outside b's
+funnel are visited: the paper's equality "funnel => (n-2)!" follows from
+the lemma, and enumeration tests the per-element bound and the strict
+inequality off the funnels.
 
 ``_check_budget`` is the only code that raises ``BudgetError``.  Enumeration
 refuses more than ``DEFAULT_MAX_N`` elements unless ``force=True`` is passed;
@@ -238,26 +255,43 @@ class TangleReport:
         return sum(self.by_element)
 
 
-def _tangled_task(p: Poset, pair: tuple[int, int]) -> list[int]:
+def _search_masks(above: Sequence[int], funnel) -> tuple[int, int]:
+    """Bitmasks of a basin's funnel and of its alive elements, those at or
+    above some funnel element (see the module docstring)."""
+    inside = sum(1 << y for y in funnel)
+    alive = inside
+    for y in funnel:
+        alive |= above[y]
+    return inside, alive
+
+
+def _tangled_task(p: Poset, pair: tuple[int, int], funnels: dict) -> list[int]:
     """Tangled counts over the labelings with label n - 1 on ``r`` and label
     n on the basin ``b``, for ``pair = (r, b)``, all credited to ``r``:
     a level-wise search over the low parts of the arrays, each state with
-    its multiplicity (see the module docstring)."""
+    its multiplicity, accepted when its chain enters b's funnel and dropped
+    when it leaves b's alive elements (see the module docstring).
+    ``funnels`` is ``funnel_and_basins(p)``, computed once per poset."""
     r, b = pair
-    above, up, pad = p.above, p.above[b], (r, *p.maximals)
+    above, pad = p.above, (r, *p.maximals)
+    funnel, alive = _search_masks(above, funnels[b])
     others = [e for e in range(p.n) if e != r and e != b]
     level = zip(permutations(others), repeat(1))
+    total = 0
     for m in range(p.n - 2, 0, -1):
         states: dict[bytes, int] = {}
         for low, count in level:
             pos = [*low, *pad]
             _advance(above, pos)
-            if (up >> pos[m - 1]) & 1:
+            c = pos[m - 1]
+            if (funnel >> c) & 1:
+                total += count
+            elif (alive >> c) & 1:
                 key = bytes(pos[:m])
                 states[key] = states.get(key, 0) + count
         level = states.items()
     by_element = [0] * p.n
-    by_element[r] = sum(count for _, count in level)
+    by_element[r] = total + sum(count for _, count in level)
     return by_element
 
 
@@ -266,11 +300,13 @@ def tangled_report(p: Poset, workers: int = 1, force: bool = False) -> TangleRep
 
     A tangled labeling places label n on a basin b and label n - 1 on an
     element r strictly above b.  Each element of b's funnel is credited
-    (n-2)! without search; the other (r, b) blocks are searched, one task
-    each, level by level, dropping a state at the first break of the chain
-    and merging equal ones (see the module docstring).  Minimal elements
-    always report zero.  A search over more than 256 elements is refused
-    (``BudgetError``, no override) before any block starts.
+    (n-2)! without search; the other (r, b) blocks with r alive for b,
+    at or above an element of b's funnel, are searched, one task each,
+    level by level, accepting a state once its chain enters the funnel,
+    dropping it once the chain leaves the alive elements, and merging equal
+    ones (see the module docstring).  Minimal elements always report zero.
+    A search over more than 256 elements is refused (``BudgetError``, no
+    override) before any block starts.
     """
     return _tangled_counts(p, workers, force)[0]
 
@@ -281,10 +317,13 @@ def _tangled_counts(p: Poset, workers: int, force: bool) -> tuple[TangleReport, 
         raise ValueError("tangled labelings need at least two elements")
     _check_budget(p.n, force)
     funnels = funnel_and_basins(p)
-    pairs = [(r, b) for b, f in funnels.items() for r in _bits(p.above[b]) if f and r not in f]
+    pairs = []
+    for b, f in funnels.items():
+        inside, alive = _search_masks(p.above, f)
+        pairs += [(r, b) for r in _bits(alive & ~inside)]
     if pairs:  # a search keys its states by bytes, one element index per byte
         _check_budget(p.n, None, 256, "tangled search poset elements")
-    by_element = _histogram(p, _tangled_task, pairs, workers)
+    by_element = _histogram(p, partial(_tangled_task, funnels=funnels), pairs, workers)
     in_funnel = frozenset().union(*funnels.values())
     for r in in_funnel:
         by_element[r] += factorial(p.n - 2)

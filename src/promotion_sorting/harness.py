@@ -382,7 +382,8 @@ def _grow_task(p: Poset, connected: bool) -> list[tuple[bytes, int]]:
     rows = [(row + b"\0\0", row + b"\1\0") for row in _digit_rows(p, n)]
     firsts: dict[bytes, int] = {}
     for mask in _orbit_ideal_masks(p):
-        if not all(mask & c for c in components):
+        # the ideal's size is the key's leading digit: a smaller one skips at once
+        if mask.bit_count() < leader >> 4 * width or not all(mask & c for c in components):
             continue
         tops = [e for e in _bits(mask) if not above[e] & mask]
         key = (mask.bit_count() << 4 * width

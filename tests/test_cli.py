@@ -243,7 +243,12 @@ def test_verify_clean_sweep(capsys):
                  "198223e81ddba94d39c1a3e0623729e4d87b6f85929a1bec0bc1edbde90c8a1f", id="7"),
     pytest.param(("--max-n", "6", "--all-posets", "--unimodal"),
                  "46a96f7afc6dd374856aa28842940d0c672ee232da638bc427c5d4ee8eb47f45",
-                 id="6-all-unimodal")])
+                 id="6-all-unimodal"),
+    # both routes: f's top coefficient against the tangled total on every
+    # connected poset with n <= 7
+    pytest.param(("--max-n", "7", "--unimodal", "--force"),
+                 "a04cd65a640a28dd907602568999b0592df2d67586b0085950b0abf9a8405f79",
+                 id="7-unimodal", marks=pytest.mark.slow)])
 def test_verify_stdout_is_pinned(capsys, argv, digest):
     # the whole report; which child of its class growth keeps must not show
     code, out, _ = run(capsys, "verify", *argv)
@@ -265,16 +270,25 @@ def test_verify_tests_connectedness_below_the_last_level_only(capsys, monkeypatc
 
 def test_tangled_search_past_256_elements_exits_two(capsys, tmp_path):
     # a search block over 260 elements is refused with no override; the
-    # 300-element antichain has none and is still counted
-    from promotion_sorting import antichain
-    from test_enumeration import OVER_256
+    # 300-element antichain has none and is still counted, and so is a
+    # 260-element poset whose blocks the funnel rules all prove empty:
+    # 258! on its one funnel element
+    from math import factorial
 
-    over, wide = tmp_path / "over.json", tmp_path / "wide.json"
+    from promotion_sorting import antichain
+    from test_enumeration import NO_SEARCH_260, OVER_256
+
+    over, wide, none = (tmp_path / f"{name}.json" for name in ("over", "wide", "none"))
     save_poset(OVER_256, over)
     save_poset(antichain(300), wide)
+    save_poset(NO_SEARCH_260, none)
     assert run(capsys, "tangled", "--poset", str(over), "--force") == (
         2, "", "budget: tangled search poset elements of 260 exceeds the budget of 256\n")
     assert run(capsys, "tangled", "--poset", str(wide), "--force") == (0, "total: 0\n", "")
+    code, out, err = run(capsys, "tangled", "--poset", str(none), "--force", "--by-element")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [f"total: {factorial(258)}",
+                                *[f"{e}: {factorial(258) if e == 2 else 0}" for e in range(260)]]
 
 
 def test_thread_count_never_changes_output(capsys, tmp_path):

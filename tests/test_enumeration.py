@@ -57,6 +57,14 @@ def _is_tangled_pos(above: Sequence[int], pos: list[int]) -> bool:
     return bool((up >> pos[0]) & 1)
 
 
+def _searched_pairs(p: Poset) -> list[tuple[int, int]]:
+    """The (r, b) blocks a tangled count searches, by definition: r strictly
+    above an element of the basin b's funnel, and not in that funnel."""
+    funnels = funnel_and_basins(p)
+    return [(r, b) for b in basins(p) for r in _bits(p.above[b])
+            if r not in funnels[b] and any((p.above[f] >> r) & 1 for f in funnels[b])]
+
+
 def _per_labeling_tangled_task(args) -> list[int]:
     """The tangled kernel before the level-wise search, kept as the second
     route: every labeling of the block promoted until its chain breaks."""
@@ -304,10 +312,10 @@ def test_tangled_chain_lemma_and_full_space_oracle():
 def test_tangled_split_invariance(monkeypatch, p):
     # every worker count from 2 to 7 dispatches the same task list, one task
     # per root tail (the holders of labels n - 1 and n in a natural labeling)
-    # for f and one per (basin b, element above b outside its funnel) pair
-    # for tangled counts, and sums to the serial result; a fake pool runs the
-    # tasks in this process, so nothing is spawned.  Three disjoint 2-chains
-    # have funnel pairs only, so their tangled counts dispatch nothing
+    # for f and one per (basin b, element alive for b outside its funnel)
+    # pair for tangled counts, and sums to the serial result; a fake pool
+    # runs the tasks in this process, so nothing is spawned.  Three disjoint
+    # 2-chains have funnel pairs only, so their tangled counts dispatch nothing
     from promotion_sorting import enumeration
 
     seen = []
@@ -333,20 +341,20 @@ def test_tangled_split_invariance(monkeypatch, p):
         assert tangled_report(p, workers=parts).by_element == serial_tangled
     root_tails = sorted({perm[-2:] for perm in permutations(range(p.n))
                          if is_natural(p, labels_of(perm))})
-    funnels = funnel_and_basins(p)
-    pairs = [(r, b) for b in basins(p) for r in range(p.n)
-             if (p.above[b] >> r) & 1 and r not in funnels[b]]
+    pairs = _searched_pairs(p)
     assert [sorted(t) for w, t in seen if w is enumeration._gf_task] == [root_tails] * 6
     # an empty task list runs in this process and starts no pool
     assert ([t for w, t in seen if w is enumeration._tangled_task]
             == ([pairs] * 6 if pairs else []))
-    assert len(pairs) == sum(p.above[b].bit_count() - len(funnels[b]) for b in basins(p))
+    # both W(1,1,1,1) blocks, (3, 0) and (3, 4), are alive: 3 lies above a
+    # funnel element of each basin
+    assert len(pairs) == (0 if p is THREE_BASINS else 2)
 
 
 def test_task_lists_cover_each_space_once(monkeypatch):
     # sorting_gf gives each of the n! labelings its order, and
-    # tangled_report visits exactly the labelings with label n on a basin
-    # and label n - 1 strictly above it but outside its funnel, each once:
+    # tangled_report visits exactly the labelings with label n on a basin b
+    # and label n - 1 alive for b but outside its funnel, each once:
     # a recorder of the promotion step keeps the arrays that enter a block's
     # first level, its first (n-2)! steps: each is the labeling's first
     # n - 1 entries, then padding.  A wrapper of the kernel names the block
@@ -356,9 +364,9 @@ def test_task_lists_cover_each_space_once(monkeypatch):
     first_level = []  # the block's (r, b) and how many first-level steps are left
     kernel, step = enumeration._tangled_task, enumeration._advance
 
-    def task(p, pair):
+    def task(p, pair, funnels):
         first_level[:] = [pair, factorial(p.n - 2)]
-        return kernel(p, pair)
+        return kernel(p, pair, funnels)
 
     def record(above, pos):
         (r, b), left = first_level
@@ -380,10 +388,8 @@ def test_task_lists_cover_each_space_once(monkeypatch):
                 continue
             visits.clear()
             tangled_report(p)
-            funnels = funnel_and_basins(p)
-            want = [pos for pos in permutations(range(n))
-                    if pos[-1] in basins(p) and (p.above[pos[-1]] >> pos[-2]) & 1
-                    and pos[-2] not in funnels[pos[-1]]]
+            searched = set(_searched_pairs(p))
+            want = [pos for pos in permutations(range(n)) if pos[-2:] in searched]
             assert sorted(visits) == want
 
 
@@ -509,10 +515,11 @@ def test_funnel_credit_matches_enumerating_every_pair_at_seven():
     # pairs included, against the report that credits funnel blocks
     for p in generate_posets(7).entries:
         by_element = [0] * p.n
+        funnels = funnel_and_basins(p)
         for b in basins(p):
             for r in range(p.n):
                 if (p.above[b] >> r) & 1:
-                    by_element[r] += _tangled_task(p, (r, b))[r]
+                    by_element[r] += _tangled_task(p, (r, b), funnels)[r]
         assert tangled_report(p).by_element == tuple(by_element)
 
 
@@ -520,9 +527,10 @@ def _assert_kernels_agree_on_every_pair(posets) -> None:
     """The level-wise kernel against the per-labeling one on every (r, b)
     pair, funnel pairs included."""
     for p in posets:
+        funnels = funnel_and_basins(p)
         for b in basins(p):
             for r in _bits(p.above[b]):
-                assert (_tangled_task(p, (r, b))
+                assert (_tangled_task(p, (r, b), funnels)
                         == _per_labeling_tangled_task((p, (r, b)))), (p, r, b)
 
 
@@ -551,7 +559,7 @@ def test_tangled_block_memory_is_bounded():
     for pair in pairs:
         tracemalloc.start()
         try:
-            counts = _tangled_task(W2221, pair)
+            counts = _tangled_task(W2221, pair, funnels)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -563,14 +571,15 @@ def test_tangled_block_memory_is_bounded():
                          ids=["W(1,1,1,1)", "three-basins"])
 def test_no_funnel_pair_is_dispatched(monkeypatch, p):
     # a recorder stands in for the tangled kernel: no dispatched (r, b) pair
-    # has r in b's funnel, and every funnel element gets exactly (n-2)!
+    # has r in b's funnel, every funnel element gets exactly (n-2)!, and
+    # one pair is dispatched per block with r alive for b
     from promotion_sorting import enumeration
 
     dispatched = []
 
-    def record(p, pair):
+    def record(p, pair, funnels):
         dispatched.append(pair)
-        return _tangled_task(p, pair)
+        return _tangled_task(p, pair, funnels)
 
     monkeypatch.setattr(enumeration, "_tangled_task", record)
     funnels = funnel_and_basins(p)
@@ -579,8 +588,74 @@ def test_no_funnel_pair_is_dispatched(monkeypatch, p):
     in_funnel = set().union(*funnels.values())
     assert in_funnel
     assert all(report.by_element[r] == factorial(p.n - 2) for r in in_funnel)
-    assert len(dispatched) == sum(p.above[b].bit_count() - len(funnels[b])
-                                  for b in basins(p))
+    assert len(dispatched) == len(_searched_pairs(p))
+
+
+def test_labels_one_and_two_sit_on_a_lower_set_after_n_minus_2_steps():
+    # the frozen pair behind the funnel rules: after n - 2 promotions labels
+    # 3..n sit on an upper ideal, so the holders of labels 1 and 2 form a
+    # lower set; every labeling of every poset with 2 <= n <= 6
+    checked = 0
+    for n in range(2, 7):
+        for p in generate_posets(n).entries:
+            for perm in permutations(range(n)):
+                pos = list(perm)
+                for _ in range(n - 2):
+                    _advance(p.above, pos)
+                pair = 1 << pos[0] | 1 << pos[1]
+                assert not (p.below[pos[0]] | p.below[pos[1]]) & ~pair, (p, perm)
+                checked += 1
+    assert checked == 236_938
+
+
+def _record_blocks(monkeypatch) -> list:
+    """Patch the tangled kernel and its promotion step to append, for each
+    dispatched block, ``[pair, count, _advance calls]`` to the returned list."""
+    from promotion_sorting import enumeration
+
+    blocks = []
+    kernel, step = enumeration._tangled_task, enumeration._advance
+
+    def task(p, pair, funnels):
+        blocks.append([pair, 0, 0])
+        counts = kernel(p, pair, funnels)
+        blocks[-1][1] = counts[pair[0]]
+        return counts
+
+    def record(above, pos):
+        blocks[-1][2] += 1
+        step(above, pos)
+
+    monkeypatch.setattr(enumeration, "_tangled_task", task)
+    monkeypatch.setattr(enumeration, "_advance", record)
+    return blocks
+
+
+def test_searched_blocks_and_steps_are_pinned(monkeypatch):
+    # the funnel rules dispatch 1,870 of the 3,189 blocks with r strictly
+    # above b over the connected posets with 2 <= n <= 7, and take 280,454
+    # promotion steps (562,453 without them); W(2,2,2,1) keeps both of its
+    # blocks, and accepting states early cuts it to 103,920 steps (122,290)
+    blocks = _record_blocks(monkeypatch)
+    for n in range(2, 8):
+        for p in generate_posets(n, connected=True).entries:
+            tangled_report(p)
+    assert (len(blocks), sum(steps for _, _, steps in blocks)) == (1870, 280_454)
+    blocks.clear()
+    assert tangled_report(W2221, force=True).total == 7 * factorial(8) + 34_624
+    assert (len(blocks), sum(steps for _, _, steps in blocks)) == (2, 103_920)
+
+
+def test_every_searched_block_holds_a_tangled_labeling(monkeypatch):
+    # observed, not proved: on every poset with 2 <= n <= 7 each of the
+    # 2,071 dispatched blocks has a nonzero count, so the rules leave no
+    # empty block to search
+    blocks = _record_blocks(monkeypatch)
+    for n in range(2, 8):
+        for p in generate_posets(n).entries:
+            tangled_report(p)
+    assert len(blocks) == 2071
+    assert [pair for pair, count, _ in blocks if not count] == []
 
 
 def test_tangled_counts_return_the_credited_funnel_elements():
@@ -608,15 +683,18 @@ def test_serial_dispatch_reads_no_cpu_count(monkeypatch):
 
 
 # the minimal elements 0, the basin with the funnel {2}, and 1, with an
-# empty funnel, both below 3, and a 256-chain above 3: 260 elements, with
-# the search blocks (r, 0) for r >= 3
-OVER_256 = Poset(260, [(0, 2), (0, 3), (1, 3), *[(i, i + 1) for i in range(3, 259)]])
+# empty funnel, both below 3, and a 256-chain above 3: 260 elements.  In
+# OVER_256 the cover (2, 3) puts 3 and the chain above 2, so the blocks
+# (r, 0) for r >= 3 are searched; in NO_SEARCH_260 nothing above 3 is at
+# or above a funnel element, so no block is searched
+OVER_256 = Poset(260, [(0, 2), (1, 3), (2, 3), *[(i, i + 1) for i in range(3, 259)]])
+NO_SEARCH_260 = Poset(260, [(0, 2), (0, 3), (1, 3), *[(i, i + 1) for i in range(3, 259)]])
 
 
 def test_tangled_search_past_256_elements_is_refused(monkeypatch):
     # a search keys its states by bytes, so past 256 elements it is refused,
     # even with force, before any block starts; a poset with no search
-    # block is still counted
+    # block is still counted, exactly
     from promotion_sorting import enumeration
 
     def no_search(*args):
@@ -632,3 +710,5 @@ def test_tangled_search_past_256_elements_is_refused(monkeypatch):
     assert tangled_report(Poset(256, OVER_256.covers[:-4]), force=True).total == factorial(254)
     monkeypatch.undo()
     assert tangled_report(antichain(300), force=True).by_element == (0,) * 300
+    assert tangled_report(NO_SEARCH_260, force=True).by_element == (
+        0, 0, factorial(258), *[0] * 257)
