@@ -269,6 +269,8 @@ def _cmd_gen_posets(args) -> int:
 def _cmd_verify(args) -> int:
     from .enumeration import _check_budget
     from .harness import CANON_MAX_N, PosetCatalog, poset_levels, scan_catalog
+    if args.max_n < 2:
+        raise ValueError("--max-n must be at least 2: the sweep starts at n = 2")
     if args.max_n <= CANON_MAX_N:  # past it, poset_levels refuses with no override to offer
         _check_budget(args.max_n, args.force, VERIFY_DEFAULT_MAX_N, "verify sweep poset elements")
     found = 0

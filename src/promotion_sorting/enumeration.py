@@ -2,11 +2,14 @@
 
 Work is cut into tasks by fixed tails of the position array: a task pins
 the elements holding the top labels.  ``sorting_gf`` has one task per root
-tail (below), and ``tangled_report`` one per (basin b, alive element
-outside b's funnel) pair, a search block of the tangled-chain lemma below.
-The task list depends only on the poset, never on the worker count, which
-only sets how many processes share it; results merge by plain addition.
-Everything here is exact integer arithmetic.
+tail (below), which returns a column of order counts, and
+``tangled_report`` one per search block (r, b, funnel, alive) of the
+tangled-chain lemma below: r an alive element outside the basin b's
+funnel, with the bitmasks of that funnel and of b's alive elements, which
+returns one count.  The task list depends only on the poset, never on the
+worker count, which only sets how many processes share it; each caller
+merges the results by plain addition.  Everything here is exact integer
+arithmetic.
 
 The sorting generating function is read off the inverse-promotion forest.
 Promotion maps the n! labelings to themselves, and it permutes the natural
@@ -195,12 +198,6 @@ def _run_chunks(worker, tasks, workers: int):
     return _pool[1].imap(worker, tasks, min(-(-len(tasks) // (4 * processes)), _MAX_BATCH))
 
 
-def _histogram(p: Poset, task, tails, workers: int) -> list[int]:
-    """Sum of ``task(p, tail)`` over ``tails``; zeros when there are none."""
-    results = _run_chunks(partial(task, p), tails, workers)
-    return [sum(col) for col in zip([0] * p.n, *results)]
-
-
 # -- order histogram (sorting generating function) -----------------------------
 
 def _gf_task(p: Poset, tail: tuple) -> list[int]:
@@ -235,7 +232,7 @@ def sorting_gf(p: Poset, workers: int = 1, force: bool = False) -> GenFun:
     _check_budget(p.n, force)
     tails = [(a, b) for b in p.maximals for a in range(p.n)
              if a != b and not p.above[a] & ~(1 << b)] if p.n > 1 else [(0,)]
-    coeffs = _histogram(p, _gf_task, tails, workers)
+    coeffs = [sum(col) for col in zip(*_run_chunks(partial(_gf_task, p), tails, workers))]
     if sum(coeffs) != factorial(p.n):
         raise InternalError(f"the inverse-promotion forest holds {sum(coeffs)} labelings, "
                             f"not {p.n}!")
@@ -255,26 +252,16 @@ class TangleReport:
         return sum(self.by_element)
 
 
-def _search_masks(above: Sequence[int], funnel) -> tuple[int, int]:
-    """Bitmasks of a basin's funnel and of its alive elements, those at or
-    above some funnel element (see the module docstring)."""
-    inside = sum(1 << y for y in funnel)
-    alive = inside
-    for y in funnel:
-        alive |= above[y]
-    return inside, alive
-
-
-def _tangled_task(p: Poset, pair: tuple[int, int], funnels: dict) -> list[int]:
-    """Tangled counts over the labelings with label n - 1 on ``r`` and label
-    n on the basin ``b``, for ``pair = (r, b)``, all credited to ``r``:
-    a level-wise search over the low parts of the arrays, each state with
-    its multiplicity, accepted when its chain enters b's funnel and dropped
-    when it leaves b's alive elements (see the module docstring).
-    ``funnels`` is ``funnel_and_basins(p)``, computed once per poset."""
-    r, b = pair
+def _tangled_task(p: Poset, block: tuple[int, int, int, int]) -> int:
+    """The number of tangled labelings with label n - 1 on ``r`` and label
+    n on the basin ``b``, for ``block = (r, b, funnel, alive)``, where
+    ``funnel`` and ``alive`` are the bitmasks of b's funnel and of the
+    elements at or above some element of it: a level-wise search over the
+    low parts of the arrays, each state with its multiplicity, accepted
+    when its chain enters ``funnel`` and dropped when it leaves ``alive``
+    (see the module docstring)."""
+    r, b, funnel, alive = block
     above, pad = p.above, (r, *p.maximals)
-    funnel, alive = _search_masks(above, funnels[b])
     others = [e for e in range(p.n) if e != r and e != b]
     level = zip(permutations(others), repeat(1))
     total = 0
@@ -290,9 +277,7 @@ def _tangled_task(p: Poset, pair: tuple[int, int], funnels: dict) -> list[int]:
                 key = bytes(pos[:m])
                 states[key] = states.get(key, 0) + count
         level = states.items()
-    by_element = [0] * p.n
-    by_element[r] = total + sum(count for _, count in level)
-    return by_element
+    return total + sum(count for _, count in level)
 
 
 def tangled_report(p: Poset, workers: int = 1, force: bool = False) -> TangleReport:
@@ -300,13 +285,15 @@ def tangled_report(p: Poset, workers: int = 1, force: bool = False) -> TangleRep
 
     A tangled labeling places label n on a basin b and label n - 1 on an
     element r strictly above b.  Each element of b's funnel is credited
-    (n-2)! without search; the other (r, b) blocks with r alive for b,
-    at or above an element of b's funnel, are searched, one task each,
-    level by level, accepting a state once its chain enters the funnel,
-    dropping it once the chain leaves the alive elements, and merging equal
-    ones (see the module docstring).  Minimal elements always report zero.
-    A search over more than 256 elements is refused (``BudgetError``, no
-    override) before any block starts.
+    (n-2)! without search.  Each other block (r, b) with r alive for b, at
+    or above an element of b's funnel, is one task (r, b, funnel, alive)
+    that carries the bitmasks of b's funnel and alive elements and returns
+    r's count from that block.  It is searched level by level, accepting
+    a state once its chain enters the funnel, dropping it once the chain
+    leaves the alive elements, and merging equal ones (see the module
+    docstring).  Minimal elements always report zero.  A search over more
+    than 256 elements is refused (``BudgetError``, no override) before any
+    block starts.
     """
     return _tangled_counts(p, workers, force)[0]
 
@@ -317,14 +304,15 @@ def _tangled_counts(p: Poset, workers: int, force: bool) -> tuple[TangleReport, 
         raise ValueError("tangled labelings need at least two elements")
     _check_budget(p.n, force)
     funnels = funnel_and_basins(p)
-    pairs = []
-    for b, f in funnels.items():
-        inside, alive = _search_masks(p.above, f)
-        pairs += [(r, b) for r in _bits(alive & ~inside)]
-    if pairs:  # a search keys its states by bytes, one element index per byte
+    by_element, blocks = [0] * p.n, []
+    for b, funnel in funnels.items():
+        inside = alive = sum(1 << y for y in funnel)
+        for y in funnel:
+            alive |= p.above[y]
+            by_element[y] += factorial(p.n - 2)
+        blocks += [(r, b, inside, alive) for r in _bits(alive & ~inside)]
+    if blocks:  # a search keys its states by bytes, one element index per byte
         _check_budget(p.n, None, 256, "tangled search poset elements")
-    by_element = _histogram(p, partial(_tangled_task, funnels=funnels), pairs, workers)
-    in_funnel = frozenset().union(*funnels.values())
-    for r in in_funnel:
-        by_element[r] += factorial(p.n - 2)
-    return TangleReport(tuple(by_element)), in_funnel
+    for (r, *_), count in zip(blocks, _run_chunks(partial(_tangled_task, p), blocks, workers)):
+        by_element[r] += count
+    return TangleReport(tuple(by_element)), frozenset().union(*funnels.values())

@@ -339,6 +339,23 @@ def test_verify_budget_gate(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("max_n", ["1", "0", "-5"])
+def test_verify_refuses_a_sweep_below_two(capsys, monkeypatch, max_n):
+    # the sweep starts at n = 2, so a smaller --max-n would check nothing;
+    # it is refused with a verify message before the budget check and
+    # before any level grows
+    import promotion_sorting.enumeration as enumeration
+    import promotion_sorting.harness as harness
+
+    def unreachable(*args, **kwargs):
+        pytest.fail("the refusal must come first")
+
+    monkeypatch.setattr(enumeration, "_check_budget", unreachable)
+    monkeypatch.setattr(harness, "poset_levels", unreachable)
+    assert run(capsys, "verify", "--max-n", max_n) == (
+        1, "", "error: --max-n must be at least 2: the sweep starts at n = 2\n")
+
+
 @pytest.mark.parametrize("argv", [["gen-posets", "--n", "11", "--force"],
                                   ["verify", "--max-n", "11", "--force"],
                                   ["gen-posets", "--n", "11"],

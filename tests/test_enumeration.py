@@ -57,24 +57,30 @@ def _is_tangled_pos(above: Sequence[int], pos: list[int]) -> bool:
     return bool((up >> pos[0]) & 1)
 
 
-def _searched_pairs(p: Poset) -> list[tuple[int, int]]:
-    """The (r, b) blocks a tangled count searches, by definition: r strictly
-    above an element of the basin b's funnel, and not in that funnel."""
-    funnels = funnel_and_basins(p)
-    return [(r, b) for b in basins(p) for r in _bits(p.above[b])
-            if r not in funnels[b] and any((p.above[f] >> r) & 1 for f in funnels[b])]
+def _masks(p: Poset, b: int) -> tuple[int, int]:
+    """Bitmasks of the basin b's funnel and of its alive elements, from the
+    definitions: y is alive when some funnel element f has f <= y."""
+    funnel = funnel_and_basins(p)[b]
+    return (sum(1 << f for f in funnel),
+            sum(1 << y for y in range(p.n) if any(p.leq(f, y) for f in funnel)))
 
 
-def _per_labeling_tangled_task(args) -> list[int]:
+def _searched_blocks(p: Poset) -> list[tuple[int, int, int, int]]:
+    """The (r, b, funnel, alive) blocks a tangled count searches, by
+    definition: r alive for the basin b and not in b's funnel, with the
+    masks of :func:`_masks`."""
+    blocks = []
+    for b in basins(p):
+        funnel, alive = _masks(p, b)
+        blocks += [(r, b, funnel, alive) for r in range(p.n) if (alive & ~funnel) >> r & 1]
+    return blocks
+
+
+def _per_labeling_tangled_task(p: Poset, r: int, b: int) -> int:
     """The tangled kernel before the level-wise search, kept as the second
-    route: every labeling of the block promoted until its chain breaks."""
-    p, tail = args
-    above = p.above
-    others = [e for e in range(p.n) if e not in tail]
-    by_element = [0] * p.n
-    by_element[tail[0]] = sum(
-        1 for perm in permutations(others) if _is_tangled_pos(above, [*perm, *tail]))
-    return by_element
+    route: every labeling of the block (r, b) promoted until its chain breaks."""
+    others = [e for e in range(p.n) if e != r and e != b]
+    return sum(1 for perm in permutations(others) if _is_tangled_pos(p.above, [*perm, r, b]))
 
 
 def test_lambda_gfs():
@@ -312,8 +318,9 @@ def test_tangled_chain_lemma_and_full_space_oracle():
 def test_tangled_split_invariance(monkeypatch, p):
     # every worker count from 2 to 7 dispatches the same task list, one task
     # per root tail (the holders of labels n - 1 and n in a natural labeling)
-    # for f and one per (basin b, element alive for b outside its funnel)
-    # pair for tangled counts, and sums to the serial result; a fake pool
+    # for f and one block (r, b, funnel, alive) per basin b and element r
+    # alive for b outside its funnel for tangled counts, each with the masks
+    # of _masks, and sums to the serial result; a fake pool
     # runs the tasks in this process, so nothing is spawned.  Three disjoint
     # 2-chains have funnel pairs only, so their tangled counts dispatch nothing
     from promotion_sorting import enumeration
@@ -341,14 +348,15 @@ def test_tangled_split_invariance(monkeypatch, p):
         assert tangled_report(p, workers=parts).by_element == serial_tangled
     root_tails = sorted({perm[-2:] for perm in permutations(range(p.n))
                          if is_natural(p, labels_of(perm))})
-    pairs = _searched_pairs(p)
+    blocks = _searched_blocks(p)
     assert [sorted(t) for w, t in seen if w is enumeration._gf_task] == [root_tails] * 6
-    # an empty task list runs in this process and starts no pool
+    # an empty task list runs in this process and starts no pool; each
+    # block carries its masks
     assert ([t for w, t in seen if w is enumeration._tangled_task]
-            == ([pairs] * 6 if pairs else []))
+            == ([blocks] * 6 if blocks else []))
     # both W(1,1,1,1) blocks, (3, 0) and (3, 4), are alive: 3 lies above a
     # funnel element of each basin
-    assert len(pairs) == (0 if p is THREE_BASINS else 2)
+    assert len(blocks) == (0 if p is THREE_BASINS else 2)
 
 
 def test_task_lists_cover_each_space_once(monkeypatch):
@@ -364,9 +372,9 @@ def test_task_lists_cover_each_space_once(monkeypatch):
     first_level = []  # the block's (r, b) and how many first-level steps are left
     kernel, step = enumeration._tangled_task, enumeration._advance
 
-    def task(p, pair, funnels):
-        first_level[:] = [pair, factorial(p.n - 2)]
-        return kernel(p, pair, funnels)
+    def task(p, block):
+        first_level[:] = [block[:2], factorial(p.n - 2)]
+        return kernel(p, block)
 
     def record(above, pos):
         (r, b), left = first_level
@@ -388,7 +396,7 @@ def test_task_lists_cover_each_space_once(monkeypatch):
                 continue
             visits.clear()
             tangled_report(p)
-            searched = set(_searched_pairs(p))
+            searched = {block[:2] for block in _searched_blocks(p)}
             want = [pos for pos in permutations(range(n)) if pos[-2:] in searched]
             assert sorted(visits) == want
 
@@ -491,6 +499,17 @@ def test_one_forward_loop_per_question():
         ("promotion.py", "promote"), ("promotion.py", "promotion_path")}
 
 
+def test_one_dispatch_site_per_caller():
+    # every pool dispatch is one _run_chunks call plus its caller's own
+    # reduction of the results, with no wrapper in between
+    def calls_run_chunks(node):
+        return isinstance(node, ast.Call) and _name(node.func) == "_run_chunks"
+
+    assert sorted(_library_sites(calls_run_chunks)) == [
+        ("enumeration.py", "_tangled_counts"), ("enumeration.py", "sorting_gf"),
+        ("harness.py", "_grow_levels"), ("harness.py", "scan_catalog")]
+
+
 def test_the_core_stays_dependency_free():
     import ast
     import sys
@@ -515,11 +534,11 @@ def test_funnel_credit_matches_enumerating_every_pair_at_seven():
     # pairs included, against the report that credits funnel blocks
     for p in generate_posets(7).entries:
         by_element = [0] * p.n
-        funnels = funnel_and_basins(p)
         for b in basins(p):
+            masks = _masks(p, b)
             for r in range(p.n):
                 if (p.above[b] >> r) & 1:
-                    by_element[r] += _tangled_task(p, (r, b), funnels)[r]
+                    by_element[r] += _tangled_task(p, (r, b, *masks))
         assert tangled_report(p).by_element == tuple(by_element)
 
 
@@ -527,11 +546,11 @@ def _assert_kernels_agree_on_every_pair(posets) -> None:
     """The level-wise kernel against the per-labeling one on every (r, b)
     pair, funnel pairs included."""
     for p in posets:
-        funnels = funnel_and_basins(p)
         for b in basins(p):
+            masks = _masks(p, b)
             for r in _bits(p.above[b]):
-                assert (_tangled_task(p, (r, b), funnels)
-                        == _per_labeling_tangled_task((p, (r, b)))), (p, r, b)
+                assert (_tangled_task(p, (r, b, *masks))
+                        == _per_labeling_tangled_task(p, r, b)), (p, r, b)
 
 
 def test_level_wise_kernel_matches_per_labeling_kernel():
@@ -553,42 +572,42 @@ def test_tangled_block_memory_is_bounded():
     # table holds 15,120 distinct low parts, and the traced peak stays
     # below 3 MiB (1.47 MiB; a [count, array] list per state takes 5.3 MiB)
     funnels = funnel_and_basins(W2221)
-    pairs = [(r, b) for b in basins(W2221) for r in _bits(W2221.above[b])
-             if r not in funnels[b]]
-    assert len(pairs) == 2
-    for pair in pairs:
+    blocks = [(r, b, *_masks(W2221, b)) for b in basins(W2221) for r in _bits(W2221.above[b])
+              if r not in funnels[b]]
+    assert len(blocks) == 2
+    for block in blocks:
         tracemalloc.start()
         try:
-            counts = _tangled_task(W2221, pair, funnels)
+            count = _tangled_task(W2221, block)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert 0 < counts[pair[0]] < factorial(W2221.n - 2)
+        assert 0 < count < factorial(W2221.n - 2)
         assert peak < 3 * 2**20
 
 
 @pytest.mark.parametrize("p", [build_w_poset(WParams(1, 1, 1, 1)), THREE_BASINS],
                          ids=["W(1,1,1,1)", "three-basins"])
 def test_no_funnel_pair_is_dispatched(monkeypatch, p):
-    # a recorder stands in for the tangled kernel: no dispatched (r, b) pair
-    # has r in b's funnel, every funnel element gets exactly (n-2)!, and
-    # one pair is dispatched per block with r alive for b
+    # a recorder stands in for the tangled kernel: no dispatched block
+    # (r, b, funnel, alive) has r in b's funnel, every funnel element gets
+    # exactly (n-2)!, and one block is dispatched per r alive for b
     from promotion_sorting import enumeration
 
     dispatched = []
 
-    def record(p, pair, funnels):
-        dispatched.append(pair)
-        return _tangled_task(p, pair, funnels)
+    def record(p, block):
+        dispatched.append(block)
+        return _tangled_task(p, block)
 
     monkeypatch.setattr(enumeration, "_tangled_task", record)
     funnels = funnel_and_basins(p)
     report = tangled_report(p)
-    assert all(r not in funnels[b] for r, b in dispatched)
+    assert all(r not in funnels[b] for r, b, *_ in dispatched)
     in_funnel = set().union(*funnels.values())
     assert in_funnel
     assert all(report.by_element[r] == factorial(p.n - 2) for r in in_funnel)
-    assert len(dispatched) == len(_searched_pairs(p))
+    assert dispatched == _searched_blocks(p)
 
 
 def test_labels_one_and_two_sit_on_a_lower_set_after_n_minus_2_steps():
@@ -610,17 +629,16 @@ def test_labels_one_and_two_sit_on_a_lower_set_after_n_minus_2_steps():
 
 def _record_blocks(monkeypatch) -> list:
     """Patch the tangled kernel and its promotion step to append, for each
-    dispatched block, ``[pair, count, _advance calls]`` to the returned list."""
+    dispatched block, ``[(r, b), count, _advance calls]`` to the returned list."""
     from promotion_sorting import enumeration
 
     blocks = []
     kernel, step = enumeration._tangled_task, enumeration._advance
 
-    def task(p, pair, funnels):
-        blocks.append([pair, 0, 0])
-        counts = kernel(p, pair, funnels)
-        blocks[-1][1] = counts[pair[0]]
-        return counts
+    def task(p, block):
+        blocks.append([block[:2], 0, 0])
+        blocks[-1][1] = kernel(p, block)
+        return blocks[-1][1]
 
     def record(above, pos):
         blocks[-1][2] += 1
@@ -700,13 +718,13 @@ def test_tangled_search_past_256_elements_is_refused(monkeypatch):
     def no_search(*args):
         raise AssertionError("no search may start")
 
-    monkeypatch.setattr(enumeration, "_histogram", no_search)
+    monkeypatch.setattr(enumeration, "_tangled_task", no_search)
     with pytest.raises(BudgetError, match=re.escape(
             "tangled search poset elements of 260 exceeds the budget of 256")):
         tangled_report(OVER_256, force=True)
     # the bound is 256 itself, the last index a byte holds being 255; with
     # the searches stubbed out, only the funnel element's credit is left
-    monkeypatch.setattr(enumeration, "_histogram", lambda p, *args: [0] * p.n)
+    monkeypatch.setattr(enumeration, "_tangled_task", lambda p, block: 0)
     assert tangled_report(Poset(256, OVER_256.covers[:-4]), force=True).total == factorial(254)
     monkeypatch.undo()
     assert tangled_report(antichain(300), force=True).by_element == (0,) * 300

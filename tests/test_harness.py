@@ -819,7 +819,7 @@ def test_dispatch_passes_each_callers_own_sequence(monkeypatch, capsys):
     # hands over the sequence it already holds, so no task list is built:
     # the scan passes catalog.entries itself, verify's last level goes as
     # the grown level, growth passes its tuple of parents, and gf and
-    # tangled pass tails and pairs of element indices, with no poset inside
+    # tangled pass tails and blocks of ints, with no poset inside
     import promotion_sorting.enumeration as enumeration
     import promotion_sorting.harness as harness
     from promotion_sorting.harness import _GrownLevel
