@@ -31,6 +31,14 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _int_list(sep: Optional[str]):
+    """An argparse type: the integers of a ``sep``-separated value (split on
+    whitespace for ``None``), so argparse names the flag of a bad entry."""
+    def integers(text: str) -> list[int]:
+        return [int(v) for v in text.split(sep)]
+    return integers
+
+
 def _add_poset_arg(cmd):
     cmd.add_argument("--poset", required=True, metavar="FILE",
                      help="poset JSON file ({\"n\": .., \"covers\": [[i, j], ..]})")
@@ -149,9 +157,8 @@ def _cmd_tangled(args) -> int:
 
 def _cmd_lift(args) -> int:
     from .promotion import format_labeling, lift_labeling, order
-    indices = [int(v) for v in args.indices.split(",")]
-    p, labels = _load_labeled(args, extra=len(indices))
-    lifted_poset, lifted = lift_labeling(p, labels, indices)
+    p, labels = _load_labeled(args, extra=len(args.indices))
+    lifted_poset, lifted = lift_labeling(p, labels, args.indices)
     print(format_labeling(lifted))
     print(f"order: {order(lifted_poset, lifted)}")
     return 0
@@ -167,9 +174,7 @@ def _cmd_irf(args) -> int:
     spec = inflation_spec_from_json(doc, lambda n: _check_budget(
         n, None, CLOSED_FORM_MAX_N, "inflated forest elements"))
     if args.bound:
-        value = irf_bound(spec)
-        print(f"bound sum: {value.numerator}/{value.denominator}"
-              if value.denominator != 1 else f"bound sum: {value.numerator}")
+        print(f"bound sum: {irf_bound(spec)}")  # a Fraction prints as n or n/d
     if args.element is not None:
         print(irf_tangled_by_element(spec, args.element))
     elif not args.bound:
@@ -194,10 +199,8 @@ def _cmd_wposet(args) -> int:
 
 
 def _cmd_attach(args) -> int:
-    from .enumeration import GenFun
     from .formulas import attach_antichain
-    coeffs = [int(v) for v in args.gf.split()]
-    print(attach_antichain(GenFun(tuple(coeffs)), args.k, args.mode))
+    print(attach_antichain(args.gf, args.k, args.mode))
     return 0
 
 
@@ -213,8 +216,7 @@ def _cmd_pedestal(args) -> int:
 
 def _cmd_ordsum(args) -> int:
     from .formulas import ordinal_sum_antichains_g
-    sizes = [int(v) for v in args.composition.split(",")]
-    print(ordinal_sum_antichains_g(sizes))
+    print(ordinal_sum_antichains_g(args.composition))
     return 0
 
 
@@ -230,8 +232,7 @@ def _perm_text(perm) -> str:
 
 def _cmd_weak_order(args) -> int:
     from .formulas import weak_order_family
-    sizes = [int(v) for v in args.composition.split(",")]
-    family = weak_order_family(sizes)
+    family = weak_order_family(args.composition)
     for perm in sorted(family.vectors):
         vec = " ".join(str(v) for v in family.vectors[perm])
         print(f"{_perm_text(perm)}: {vec}")
@@ -344,7 +345,7 @@ def build_parser() -> _Parser:
     cmd = sub.add_parser("lift", help="extend a labeling over new bottom elements")
     _add_poset_arg(cmd)
     cmd.add_argument("--labeling", required=True)
-    cmd.add_argument("--indices", required=True,
+    cmd.add_argument("--indices", required=True, type=_int_list(","),
                      help="comma-separated labels for the new minimal elements")
     cmd.set_defaults(func=_cmd_lift)
 
@@ -365,7 +366,7 @@ def build_parser() -> _Parser:
     cmd.set_defaults(func=_cmd_wposet)
 
     cmd = sub.add_parser("attach", help="hang a k-antichain under a generating function")
-    cmd.add_argument("--gf", required=True,
+    cmd.add_argument("--gf", required=True, type=_int_list(None),
                      help="space-separated coefficients, all n of them "
                           "(gf's text output drops trailing zeros; use f from gf --json)")
     cmd.add_argument("--k", type=int, required=True)
@@ -378,7 +379,7 @@ def build_parser() -> _Parser:
     cmd.set_defaults(func=_cmd_pedestal)
 
     cmd = sub.add_parser("ordsum", help="cumulative gf of stacked antichains")
-    cmd.add_argument("--composition", required=True,
+    cmd.add_argument("--composition", required=True, type=_int_list(","),
                      help="comma-separated antichain sizes, top block first")
     cmd.set_defaults(func=_cmd_ordsum)
 
@@ -388,7 +389,8 @@ def build_parser() -> _Parser:
     cmd.set_defaults(func=_cmd_broom)
 
     cmd = sub.add_parser("weak-order", help="dominance family of a composition")
-    cmd.add_argument("--composition", required=True, help="comma-separated distinct sizes")
+    cmd.add_argument("--composition", required=True, type=_int_list(","),
+                     help="comma-separated distinct sizes")
     cmd.set_defaults(func=_cmd_weak_order)
 
     cmd = sub.add_parser("gen-posets", help="catalog of isomorphism classes")

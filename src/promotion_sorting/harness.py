@@ -309,9 +309,9 @@ def _extend_by_maximal(p: Poset, ideal: int) -> Poset:
 
 class _GrownLevel(Sequence):
     """A catalog level held as one int per class, ``parent index << k | ideal
-    mask`` against the k-element ``parents``, in canonical-form order.  Each
-    entry is built by ``_extend_by_maximal`` when it is read, and nothing is
-    cached, so a level costs eight bytes per class until it is read."""
+    mask`` against the k-element ``parents``.  Each entry is built by
+    ``_extend_by_maximal`` when it is read, and nothing is cached, so a
+    level costs eight bytes per class until it is read."""
 
     __slots__ = ("parents", "codes")
 
@@ -342,8 +342,9 @@ class _GrownLevel(Sequence):
 class PosetCatalog:
     """All isomorphism classes of a given size, one representative each.
 
-    ``entries`` is a tuple when loaded from a file; from :func:`generate_posets`
-    it is a read-only sequence that builds each poset when it is read."""
+    ``entries`` is a tuple when loaded from a file or at n = 1; from
+    :func:`generate_posets` it is a read-only sequence that builds each poset
+    when it is read."""
 
     n: int
     connected_only: bool
@@ -416,13 +417,13 @@ def poset_levels(max_n: int, connected: bool = False, force: bool = False,
     one ``_grow_task`` per parent through ``_run_chunks``, which returns
     (canonical form, ideal mask) pairs in parent order, and the first
     passing child of each form represents its class whatever ``workers``
-    is.  Each
-    level is sorted by canonical form, so catalogs are deterministic.  The
-    levels below the last are tuples, built once as the next level's
-    parents; the last is a read-only sequence of (parent, ideal mask) codes
-    that builds each poset when it is read.  The budgets are checked when
-    this is called, before any level grows: ``force`` lifts
-    ``GENERATION_MAX_N`` but not ``CANON_MAX_N``.
+    is.  Each level is sorted by canonical form, so catalogs are
+    deterministic.  Level 1 is a tuple; every later level is a read-only
+    sequence of (parent, ideal mask) codes that builds each poset when it
+    is read, and each level below the last is also built once as the next
+    level's parents.  The budgets are checked when this is called, before
+    any level grows: ``force`` lifts ``GENERATION_MAX_N`` but not
+    ``CANON_MAX_N``.
     """
     _check_ints(ValueError, max_n=max_n)
     _check_workers(workers)
@@ -434,29 +435,24 @@ def poset_levels(max_n: int, connected: bool = False, force: bool = False,
 
 
 def _grow_levels(max_n: int, connected: bool, workers: int) -> Iterator[Sequence[Poset]]:
-    """The levels of :func:`poset_levels`, its arguments already checked.
-
-    A level below the last is held as a dict from canonical form to
-    representative in first-seen order, which is the next level's parent
-    order; the last as ``parent index << k | ideal mask`` per form, for the
-    k-element parents.
-    """
-    level = {canonicalize(Poset(1)): Poset(1)}
+    """The levels of :func:`poset_levels`, its arguments already checked:
+    level k + 1 is one dict from canonical form to ``parent index << k |
+    ideal mask`` for the k-element parents, yielded in form order and, below
+    the last level, built once in first-seen order as the next parents."""
+    parents = (Poset(1),)
+    canonicalize(parents[0])  # perfbench/layers.py divides by the calls it counts here
+    yield parents
     for k in range(1, max_n):
-        yield tuple(map(level.__getitem__, sorted(level)))
-        parents = tuple(level.values())
         task = partial(_grow_task, connected=connected and k + 1 == max_n)
         firsts: dict[bytes, int] = {}
         for index, children in enumerate(_run_chunks(task, parents, workers)):
             for form, mask in children:
                 firsts.setdefault(form, index << k | mask)
-        if k + 1 == max_n:
-            codes = array("q", map(firsts.__getitem__, sorted(firsts)))
-            del level, firsts  # only the parents and one int per class stay alive
-            yield _GrownLevel(parents, codes)
-            return
-        level = dict(zip(firsts, _GrownLevel(parents, array("q", firsts.values()))))
-    yield tuple(level.values())
+        level = _GrownLevel(parents, array("q", map(firsts.__getitem__, sorted(firsts))))
+        if k + 1 < max_n:
+            parents = tuple(_GrownLevel(parents, array("q", firsts.values())))
+        del firsts  # while the level is read, only its parents and codes stay alive
+        yield level
 
 
 def generate_posets(n: int, connected: bool = False, force: bool = False,

@@ -194,6 +194,20 @@ def test_weak_order_without_extra_covers(capsys):
     assert "extra dominance covers: none" in out.splitlines()
 
 
+def test_weak_order_prints_collisions(capsys, monkeypatch):
+    # the block is read off a family given one collision group
+    import dataclasses
+
+    from promotion_sorting import formulas
+
+    family = dataclasses.replace(formulas.weak_order_family([1, 2]),
+                                 collisions=(((1, 2), (2, 1)),))
+    monkeypatch.setattr(formulas, "weak_order_family", lambda sizes: family)
+    code, out, _ = run(capsys, "weak-order", "--composition", "1,2")
+    assert code == 0
+    assert out.splitlines()[-3:] == ["extra dominance covers: none", "collisions:", "  12 21"]
+
+
 def test_gen_posets_stdout_and_file(capsys, tmp_path):
     code, out, err = run(capsys, "gen-posets", "--n", "3")
     assert code == 0
@@ -710,6 +724,27 @@ def test_closed_form_budget_admits_the_cap(capsys, tmp_path):
     path.write_text(json.dumps(two_chains(200, 200)))
     code, out, _ = run(capsys, "irf", "--spec", str(path), "--bound", "--element", "0")
     assert code == 0 and out.startswith("bound sum: 1\n")
+
+
+@pytest.mark.parametrize("value", ["", "1,,2", "x"])
+@pytest.mark.parametrize("argv, flag", [
+    (("lift", "--poset", "p.json", "--labeling", "1"), "--indices"),
+    (("attach", "--k", "1"), "--gf"),
+    (("ordsum",), "--composition"),
+    (("weak-order",), "--composition"),
+], ids=lambda arg: arg[0] if isinstance(arg, tuple) else None)
+def test_bad_integer_list_names_its_flag(capsys, argv, flag, value):
+    if (flag, value) == ("--gf", ""):
+        # --gf splits on whitespace, so '' is an empty vector, which attach refuses
+        assert run(capsys, *argv, flag, value) == (
+            1, "", "error: the input vector must be nonempty\n")
+        return
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, flag, value])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: argument {flag}: invalid integers value: " in captured.err
 
 
 def test_usage_error_exits_one(capsys, lam_file):

@@ -264,6 +264,22 @@ def test_defective_kernel_fails_instead_of_hanging(monkeypatch):
         order(chain(3), (2, 1, 3))
 
 
+def test_forest_short_of_n_factorial_labelings_fails(monkeypatch):
+    # a walk that loses one labeling must fail the forest's n! total
+    from promotion_sorting import enumeration
+
+    gf_task = enumeration._gf_task
+
+    def drop_one(p, tail):
+        counts = gf_task(p, tail)
+        counts[0] -= 1
+        return counts
+
+    monkeypatch.setattr(enumeration, "_gf_task", drop_one)
+    with pytest.raises(InternalError, match="forest holds 5 labelings, not 3!"):
+        sorting_gf(chain(3), workers=1)
+
+
 def test_tangled_lambda():
     rep = tangled_report(LAMBDA)
     assert rep.total == 0

@@ -172,24 +172,39 @@ def _lower_ideals(p):
 
 def test_last_level_is_built_only_when_read(monkeypatch):
     # growth builds each class of the levels below the last once, as the next
-    # level's parents; the last level builds a poset on every read, caching
-    # nothing
+    # level's parents; every level past n = 1 builds a poset on every read,
+    # caching nothing
     import promotion_sorting.harness as harness
 
     built = []
     extend = harness._extend_by_maximal
     monkeypatch.setattr(harness, "_extend_by_maximal",
                         lambda *args: built.append(1) or extend(*args))
-    *lower, last = poset_levels(7)
-    assert all(type(level) is tuple for level in lower)
+    first, *grown = levels = list(poset_levels(7))
+    assert type(first) is tuple and all(type(level) is harness._GrownLevel for level in grown)
     assert len(built) == sum(ISO_CLASS_COUNTS[n] for n in range(2, 7)) == 404
+    assert len(list(levels[3])) == 16 and len(built) == 404 + 16
     entries = generate_posets(7).entries
-    assert len(built) == 2 * 404
+    assert len(built) == 2 * 404 + 16
     posets = list(entries)
-    assert len(built) == 2 * 404 + 2045
-    assert entries[3] == posets[3] and len(built) == 2 * 404 + 2046
-    assert list(last) == posets and entries == tuple(posets) == last
+    assert len(built) == 2 * 404 + 16 + 2045
+    assert entries[3] == posets[3] and len(built) == 2 * 404 + 16 + 2046
+    assert list(levels[-1]) == posets and entries == tuple(posets) == levels[-1]
     assert (entries[-1], [entries[i] for i in range(5, 9)]) == (posets[-1], posets[5:9])
+    assert (entries == 5) is False
+
+
+def test_growth_calls_canonicalize(monkeypatch):
+    # perfbench/layers.py divides the n = 8 catalog's size by the canonicalize
+    # calls it counts during growth, so growth keeps one call until that
+    # benchmark reads growth's own form count (ROADMAP item 2(a))
+    import promotion_sorting.harness as harness
+
+    calls = []
+    canonicalize = harness.canonicalize
+    monkeypatch.setattr(harness, "canonicalize", lambda p: calls.append(1) or canonicalize(p))
+    assert len(generate_posets(8, workers=1)) == ISO_CLASS_COUNTS[8]
+    assert calls
 
 
 def test_lower_ideals_match_brute_filter():
@@ -505,8 +520,8 @@ def test_catalog_9_matches_oeis():
 
 @pytest.mark.slow
 def test_catalog_8_traced_peak_is_bounded():
-    # the last level holds one int per class, not a poset: about 4.1 MiB traced
-    # where a level of posets peaked at 13.7 MiB
+    # each grown level holds one int per class, not a poset: about 3.5 MiB
+    # traced where a level of posets peaked at 13.7 MiB
     import tracemalloc
 
     tracemalloc.start()
