@@ -41,12 +41,16 @@ and search would give them:
 
 Catalogs grow level by level: every poset on n + 1 elements is a poset on
 n elements plus a new maximal element whose strict down-set is a lower
-order ideal I.  Children are taken one per ideal, parents in order and each
-parent's masks in increasing order, and the first child of each class that
-passes three skips represents it:
+order ideal I.  Growth follows McKay's canonical construction path (J.
+Algorithms 26, 1998; for posets, Brinkmann and McKay, Order 2002).  It
+accepts a child C exactly when n lies in the automorphism orbit of a
+maximal element m(C) chosen from C's isomorphism class alone, so each class
+is accepted from exactly one parent and no form is needed to dedup across
+parents.  Children are tried one per ideal, parents in order and each
+parent's masks in increasing order, and a level is its accepted children in
+that generation order:
 
-- Canonical deletion, after McKay's canonical construction path (J.
-  Algorithms 26, 1998).  The new element n has the initial key (|I|, 0,
+- Canonical deletion.  The new element n has the initial key (|I|, 0,
   height, 0, number of maximal elements of I).  An element has fewer
   elements below it than anything above it has, and the below count is
   the key's first digit, so every element of I has a smaller key than n,
@@ -55,29 +59,55 @@ passes three skips represents it:
   key, since nothing changes above or below it.  So n has the largest key
   among the child's maximal elements exactly when its key is at least the
   parent's largest; growth skips every other child before any child row,
-  refinement or form.  Initial keys are invariant under isomorphism.  Let
-  x be a maximal element of a class C with the largest key: C - x is
-  isomorphic to some parent P, so C has a child of P, over the image of
-  x's down-set, in which n plays x and passes.
+  refinement or form.  Initial keys are invariant under isomorphism.
+- The canonical maximal element.  m(C) is one of the maximal elements with
+  the largest initial key.  When n's key is above the parent's largest, no
+  parent element ties it, so n is m(C) and the child is accepted at once.
+  Otherwise the child is refined, and m(C) lies in the highest class among
+  the tied elements; a child whose n is in a lower class is rejected.  If
+  that class is one twin set, its members are swapped by automorphisms and
+  the child is accepted.  Otherwise each member x is individualized: its
+  class is put above every other, the refinement rerun and the form taken.
+  Two members get the same form exactly when an automorphism maps one to
+  the other, so m(C)'s orbit is the members with the least form, and the
+  child is accepted when n's form is the least.
+- Exactly one parent.  Let x lie in the orbit of m(C).  C - x is isomorphic
+  to exactly one parent P, since a level holds one poset per class, and
+  C - y is isomorphic to it for every y in that orbit, so no other parent
+  has an accepted child in C.  P has a child over the image of x's
+  down-set in which n plays x: it passes the skip and is accepted.  Any
+  two accepted children of P in C are isomorphic through a map that sends
+  m-orbit to m-orbit, so, after an automorphism, sends n to n; on P it is
+  an automorphism of P that carries one ideal to the other.
 - Twin orbits.  Twins are elements of the parent with equal up- and
   down-sets.  Swapping two twins is an automorphism of the parent that
   fixes n, so it maps the child over I to an isomorphic child, n to n,
-  and the two pass or fail together.  Moving an ideal's bit to a
+  and the two are accepted together.  Moving an ideal's bit to a
   lower-indexed twin makes the mask smaller, so the smallest mask of a
   twin orbit holds, in each twin class, the lowest-indexed members.
   Growth tries only the ideals that hold a prefix, in index order, of
-  every twin class, and the first passing child is the one the whole
-  list of ideals would give.
+  every twin class.
+- Dedup inside a parent.  An automorphism keeps every refined class, so
+  when each class of the parent's refinement is one twin set it moves
+  elements only within twin sets: the automorphisms are exactly the twin
+  swaps, and the tried ideals accept distinct classes.  Any other parent
+  keeps only the first accepted child of each form: n's individualized
+  form where one was taken, the child's form otherwise.  Two accepted
+  children of one class are isomorphic through a map that sends n to n,
+  so they take the same branch and get the same form, and equal forms are
+  equal relation encodings, so children of distinct classes never share
+  one.
 - Disconnected children.  The new element joins exactly the components of
   the parent that I meets, so the child is connected exactly when I meets
   every component.  A connected-only level tries only those ideals; when
-  C is connected, the ideal over which n plays x meets every component.
+  C is connected, the ideal over which n plays m(C) meets every component.
 
-So every class keeps at least one tried child.  Every level below the
-last holds every poset, connected or not, as canonical deletion needs.  The
-representative depends only on the parent order, not on the worker count.
+So every class is accepted exactly once.  Every level below the last holds
+every poset, connected or not, as canonical deletion needs.  The
+representatives and their order depend only on the parent order, not on
+the worker count.
 
-No child is built to compute its form.  The child over I differs from its
+No child is built to refine it.  The child over I differs from its
 parent only at the elements of I and at the new element n.  Each element of
 I gains n above it, and each maximal element of I also gains n as an upper
 cover.  Nothing else changes: n lies above everything it is compared with,
@@ -340,7 +370,8 @@ class _GrownLevel(Sequence):
 
 @dataclass(frozen=True)
 class PosetCatalog:
-    """All isomorphism classes of a given size, one representative each.
+    """All isomorphism classes of a given size, one representative each, in
+    generation order (see :func:`poset_levels`) or the file's order.
 
     ``entries`` is a tuple when loaded from a file or at n = 1; from
     :func:`generate_posets` it is a read-only sequence that builds each poset
@@ -354,17 +385,21 @@ class PosetCatalog:
         return len(self.entries)
 
 
-def _grow_task(p: Poset, connected: bool) -> list[tuple[bytes, int]]:
-    """``(canonical form, ideal mask)`` of the first child of ``p`` in each
-    isomorphism class whose new element n has the largest initial key
-    among the child's maximal elements, children taken one per lower ideal
-    in mask order; one ideal per twin orbit is tried, and with
-    ``connected`` only the ideals giving connected children (see the
+def _grow_task(p: Poset, connected: bool) -> list[int]:
+    """The ideal masks, in increasing order, of the children of ``p`` that
+    growth accepts: tried one per lower ideal in mask order, one ideal per
+    twin orbit and, with ``connected``, only the ideals giving connected
+    children; accepted when the new element n lies in the automorphism
+    orbit of the child's canonical maximal element m(C); and, for a parent
+    with automorphisms beyond its twin swaps, deduped by form (see the
     module docstring).
 
     The skip compares only n's key, read off the ideal's size, maximal
-    elements and their heights, with the largest key of ``p``.  A passing
-    child's refinement inputs and digit rows are the parent's, changed
+    elements and their heights, with the largest key of ``p``.  Unless
+    ``p`` needs the dedup, a child whose n ties no maximal element of ``p``
+    is accepted on that key alone, and one whose ideal is larger than every
+    down-set of ``p`` on its size alone.  A child that reaches refinement
+    has its refinement inputs and digit rows read off the parent's, changed
     only on the ideal's elements and n; no child is built.
     """
     n = p.n
@@ -376,20 +411,37 @@ def _grow_task(p: Poset, connected: bool) -> list[tuple[bytes, int]]:
     keys = _initial_keys(p, cover_up, cover_down, width)
     # a child passes when n's key is at least this (see the module docstring)
     leader = max(keys)
+    leaders = [x for x, key in enumerate(keys) if key == leader]
+    lead_size = leader >> 4 * width
     # an element of the ideal gains n above it; a maximal one gains n as a cover too
     in_ideal = 1 << 3 * width
     new_cover = 1 << width
     up_with_n = [[*ups, n] for ups in cover_up]
-    rows = [(row + b"\0\0", row + b"\1\0") for row in _digit_rows(p, n)]
-    firsts: dict[bytes, int] = {}
+    parent_rows = _digit_rows(p, n)
+    rows = [(row + b"\0\0", row + b"\1\0") for row in parent_rows]
+    # when each class is one twin set, the only automorphisms are the twin
+    # swaps and the accepted children are distinct; otherwise dedup by form
+    parent_classes = _refine(keys, cover_up, cover_down, parent_rows)
+    seen = set() if len(set(zip(parent_classes, parent_rows))) > max(parent_classes) + 1 else None
+    accepted = []
     for mask in _orbit_ideal_masks(p):
-        # the ideal's size is the key's leading digit: a smaller one skips at once
-        if mask.bit_count() < leader >> 4 * width or not all(mask & c for c in components):
+        # the ideal's size is the key's leading digit: a smaller one skips at
+        # once, and a larger one puts n's key above every parent key, untied
+        size = mask.bit_count()
+        if size < lead_size or not all(mask & c for c in components):
+            continue
+        if size > lead_size and seen is None:
+            accepted.append(mask)
             continue
         tops = [e for e in _bits(mask) if not above[e] & mask]
-        key = (mask.bit_count() << 4 * width
+        key = (size << 4 * width
                | max(map(raised.__getitem__, tops), default=0) << 2 * width | len(tops))
         if key < leader:
+            continue
+        # the parent's maximal elements outside the ideal whose key is n's
+        ties = [x for x in leaders if not mask >> x & 1] if key == leader else []
+        if not ties and seen is None:
+            accepted.append(mask)
             continue
         child_keys = keys[:]
         for e in _bits(mask):
@@ -400,12 +452,36 @@ def _grow_task(p: Poset, connected: bool) -> list[tuple[bytes, int]]:
             child_up[e] = up_with_n[e]
         child_keys.append(key)
         child_up.append(())
+        child_down = [*cover_down, tops]
         child_rows = [pair[mask >> e & 1] for e, pair in enumerate(rows)]
         child_rows.append((2 * _SPREAD[mask]).to_bytes(n + 2, "little"))
-        classes = _refine(child_keys, child_up, [*cover_down, tops], child_rows)
-        form = _canonical_form(classes, child_rows)
-        firsts.setdefault(form, mask)
-    return list(firsts.items())
+        classes = _refine(child_keys, child_up, child_down, child_rows)
+        form = None
+        if ties:
+            top = classes[n]
+            if any(classes[x] > top for x in ties):
+                continue
+            # one member per twin set of n's class, twins of n left out; n is
+            # in m(C)'s orbit when its individualized form is the least
+            rivals = {child_rows[x]: x for x in ties if classes[x] == top}
+            rivals.pop(child_rows[n], None)
+            if rivals:
+                def marked_form(x):
+                    marked = classes[:]
+                    marked[x] = n + 1
+                    return _canonical_form(_refine(marked, child_up, child_down, child_rows),
+                                           child_rows)
+                form = marked_form(n)
+                if any(marked_form(x) < form for x in rivals.values()):
+                    continue
+        if seen is not None:
+            if form is None:
+                form = _canonical_form(classes, child_rows)
+            if form in seen:
+                continue
+            seen.add(form)
+        accepted.append(mask)
+    return accepted
 
 
 def poset_levels(max_n: int, connected: bool = False, force: bool = False,
@@ -415,15 +491,15 @@ def poset_levels(max_n: int, connected: bool = False, force: bool = False,
 
     Grows size by size, as the module docstring sets out.  Each level runs
     one ``_grow_task`` per parent through ``_run_chunks``, which returns
-    (canonical form, ideal mask) pairs in parent order, and the first
-    passing child of each form represents its class whatever ``workers``
-    is.  Each level is sorted by canonical form, so catalogs are
-    deterministic.  Level 1 is a tuple; every later level is a read-only
-    sequence of (parent, ideal mask) codes that builds each poset when it
-    is read, and each level below the last is also built once as the next
-    level's parents.  The budgets are checked when this is called, before
-    any level grows: ``force`` lifts ``GENERATION_MAX_N`` but not
-    ``CANON_MAX_N``.
+    each parent's accepted ideal masks in parent order, and each class is
+    accepted from exactly one parent.  Each level is in generation order,
+    parents in order and each parent's masks in increasing order, so
+    catalogs are the same whatever ``workers`` is.  Every level below the
+    last is a tuple of posets, built once and also the next level's
+    parents; the last level past n = 1 is a read-only sequence of (parent,
+    ideal mask) codes that builds each poset when it is read.  The budgets
+    are checked when this is called, before any level grows: ``force``
+    lifts ``GENERATION_MAX_N`` but not ``CANON_MAX_N``.
     """
     _check_ints(ValueError, max_n=max_n)
     _check_workers(workers)
@@ -436,22 +512,21 @@ def poset_levels(max_n: int, connected: bool = False, force: bool = False,
 
 def _grow_levels(max_n: int, connected: bool, workers: int) -> Iterator[Sequence[Poset]]:
     """The levels of :func:`poset_levels`, its arguments already checked:
-    level k + 1 is one dict from canonical form to ``parent index << k |
-    ideal mask`` for the k-element parents, yielded in form order and, below
-    the last level, built once in first-seen order as the next parents."""
+    level k + 1 holds ``parent index << k | ideal mask`` for each child the
+    k-element parents accept, in parent order and each parent's masks in
+    increasing order; below the last level it is built once, as a tuple
+    that is also the next level's parents."""
     parents = (Poset(1),)
     canonicalize(parents[0])  # perfbench/layers.py divides by the calls it counts here
     yield parents
     for k in range(1, max_n):
         task = partial(_grow_task, connected=connected and k + 1 == max_n)
-        firsts: dict[bytes, int] = {}
-        for index, children in enumerate(_run_chunks(task, parents, workers)):
-            for form, mask in children:
-                firsts.setdefault(form, index << k | mask)
-        level = _GrownLevel(parents, array("q", map(firsts.__getitem__, sorted(firsts))))
+        codes = array("q")
+        for index, masks in enumerate(_run_chunks(task, parents, workers)):
+            codes.extend([index << k | mask for mask in masks])
+        level = _GrownLevel(parents, codes)
         if k + 1 < max_n:
-            parents = tuple(_GrownLevel(parents, array("q", firsts.values())))
-        del firsts  # while the level is read, only its parents and codes stay alive
+            level = parents = tuple(level)
         yield level
 
 
@@ -459,8 +534,9 @@ def generate_posets(n: int, connected: bool = False, force: bool = False,
                     workers: int = 1) -> PosetCatalog:
     """The last level of :func:`poset_levels`, optionally connected posets
     only, which growth alone selects (see the module docstring).  Its
-    ``entries`` hold one (parent, ideal mask) code per class and build each
-    poset when it is read, so a catalog read once is never held whole."""
+    ``entries`` hold one (parent, ideal mask) code per class, in generation
+    order, and build each poset when it is read, so a catalog read once is
+    never held whole."""
     *_, entries = poset_levels(n, connected=connected, force=force, workers=workers)
     return PosetCatalog(n=n, connected_only=connected, entries=entries)
 

@@ -20,7 +20,7 @@ STDOUT_SHA256 = {
     "02_generating_functions.py": "91cf9c99593289ed5a6ba28d6c73dcd6dde61451efd1305a76becd27df52d843",
     "03_exact_counts.py": "6661d9accc98812e3f243a7dd347822fbccb3db49cf9cffacd7e240ea7355df4",
     "04_weak_order_refinement.py": "d5cd8a1dedfe086c9113a8b985e0a1cde449870597326f478b2fe0c784cc6e9f",
-    "05_conjecture_sweep.py": "8137410916053957f31580b2c1b504a7d51a07f2a64e64cae3958569164f5c41",
+    "05_conjecture_sweep.py": "cff0e7d68f34b95accc8d001b4e9cc4052f319caeed30d32f5d76b76861e05e3",
 }
 
 pytestmark = pytest.mark.slow

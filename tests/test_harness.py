@@ -35,9 +35,10 @@ from promotion_sorting import (
 )
 from promotion_sorting.cli import main
 from promotion_sorting.enumeration import _check_budget
-from promotion_sorting.harness import (ALL_CHECKS, CANON_MAX_N, _cover_lists, _digit_width,
-                                       _extend_by_maximal, _grow_task, _initial_keys,
-                                       _orbit_ideal_masks, _refined_classes, poset_levels)
+from promotion_sorting.harness import (ALL_CHECKS, CANON_MAX_N, _canonical_form, _cover_lists,
+                                       _digit_rows, _digit_width, _extend_by_maximal,
+                                       _grow_task, _initial_keys, _orbit_ideal_masks, _refine,
+                                       _refined_classes, poset_levels)
 from promotion_sorting.posets import _bits, funnel_and_basins
 
 LAMBDA = Poset(3, [(0, 2), (1, 2)])
@@ -151,10 +152,11 @@ def test_worker_count_never_changes_representatives(monkeypatch):
 
     monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)
     for connected in (False, True):
-        serial = [[p.covers for p in level] for level in poset_levels(7, connected=connected)]
-        pooled = [[p.covers for p in level]
-                  for level in poset_levels(7, connected=connected, workers=2)]
-        assert pooled == serial
+        serial = list(poset_levels(7, connected=connected))
+        pooled = list(poset_levels(7, connected=connected, workers=2))
+        assert pooled[-1].codes == serial[-1].codes
+        assert [[p.covers for p in level] for level in pooled] == [
+            [p.covers for p in level] for level in serial]
 
 
 def test_connected_growth_prunes_only_the_last_level():
@@ -171,25 +173,27 @@ def _lower_ideals(p):
 
 
 def test_last_level_is_built_only_when_read(monkeypatch):
-    # growth builds each class of the levels below the last once, as the next
-    # level's parents; every level past n = 1 builds a poset on every read,
-    # caching nothing
+    # growth builds each class of the levels below the last once, as a tuple
+    # that is also the next level's parents, so reading one builds nothing;
+    # the last level builds a poset on every read, caching nothing
     import promotion_sorting.harness as harness
 
     built = []
     extend = harness._extend_by_maximal
     monkeypatch.setattr(harness, "_extend_by_maximal",
                         lambda *args: built.append(1) or extend(*args))
-    first, *grown = levels = list(poset_levels(7))
-    assert type(first) is tuple and all(type(level) is harness._GrownLevel for level in grown)
+    *lower, last = list(poset_levels(7))
+    assert all(type(level) is tuple for level in lower) and type(last) is harness._GrownLevel
     assert len(built) == sum(ISO_CLASS_COUNTS[n] for n in range(2, 7)) == 404
-    assert len(list(levels[3])) == 16 and len(built) == 404 + 16
+    assert [len(list(level)) for level in lower] == [ISO_CLASS_COUNTS[n] for n in range(1, 7)]
+    assert len(built) == 404
+    posets = list(last)
+    assert len(built) == 404 + 2045
+    assert list(last) == posets and len(built) == 404 + 2 * 2045
     entries = generate_posets(7).entries
-    assert len(built) == 2 * 404 + 16
-    posets = list(entries)
-    assert len(built) == 2 * 404 + 16 + 2045
-    assert entries[3] == posets[3] and len(built) == 2 * 404 + 16 + 2046
-    assert list(levels[-1]) == posets and entries == tuple(posets) == levels[-1]
+    assert len(built) == 2 * 404 + 2 * 2045
+    assert entries[3] == posets[3] and len(built) == 2 * 404 + 2 * 2045 + 1
+    assert entries == tuple(posets) == last
     assert (entries[-1], [entries[i] for i in range(5, 9)]) == (posets[-1], posets[5:9])
     assert (entries == 5) is False
 
@@ -241,27 +245,67 @@ def test_closure_free_child_matches_a_closed_build():
     assert count == 6377
 
 
-def _new_element_leads(child):
-    """Whether the child's last element, the one growth added, has the
-    largest initial key among the child's maximal elements, read off the
-    child built whole."""
-    keys = _initial_keys(child, *_cover_lists(child.n, child.covers), _digit_width(child.n))
-    return all(keys[x] <= keys[-1] for x in child.maximals)
+def _acceptance(child):
+    """The branch of growth's acceptance rule that a child takes, read off
+    the child built whole; its new element n is its last."""
+    n = child.n - 1
+    cover_up, cover_down = _cover_lists(child.n, child.covers)
+    keys = _initial_keys(child, cover_up, cover_down, _digit_width(child.n))
+    if any(keys[x] > keys[n] for x in child.maximals):
+        return "skip"
+    tied = [x for x in child.maximals if keys[x] == keys[n]]
+    if tied == [n]:
+        return "lead"
+    rows = _digit_rows(child, child.n + 1)
+    classes = _refine(keys, cover_up, cover_down, rows)
+    top = max(classes[x] for x in tied)
+    if classes[n] < top:
+        return "lower class"
+    members = [x for x in tied if classes[x] == top]
+    if all(rows[x] == rows[n] for x in members):
+        return "twin class"
+
+    def marked_form(x):
+        marked = classes[:]
+        marked[x] = child.n
+        return _canonical_form(_refine(marked, cover_up, cover_down, rows), rows)
+
+    forms = [marked_form(x) for x in members]
+    return "least" if marked_form(n) == min(forms) else "not least"
+
+
+ACCEPTED = {"lead", "twin class", "least"}
+
+
+def _accepted_masks(p, connected):
+    """What ``_grow_task`` returns, from children built whole: each tried
+    ideal whose child the rule accepts, the first of each child form for
+    every parent, where growth dedups only a parent with automorphisms
+    beyond its twin swaps."""
+    components = p.components() if connected else ()
+    forms = {}
+    for mask in _orbit_ideal_masks(p):
+        child = _extend_by_maximal(p, mask)
+        if all(mask & c for c in components) and _acceptance(child) in ACCEPTED:
+            forms.setdefault(canonicalize(child), mask)
+    return list(forms.values())
 
 
 def test_grow_task_prunes_no_first_child():
-    # the reference builds every child, over every lower ideal, keeps those
-    # whose new element leads, and takes the first of each form
+    # the reference builds every child, over every lower ideal, and keeps the
+    # classes of those the rule accepts: growth's children of a parent hold
+    # exactly those classes, each once
     reference: dict = {}
     for p, mask, child in _children(6):
-        firsts = reference.setdefault(p, {})
-        if _new_element_leads(child):
-            firsts.setdefault(canonicalize(child), (mask, child))
-    for p, firsts in reference.items():
-        pairs = [(key, mask) for key, (mask, _) in firsts.items()]
-        assert _grow_task(p, False) == pairs
-        assert _grow_task(p, True) == [
-            (key, mask) for key, (mask, child) in firsts.items() if child.is_connected()]
+        forms = reference.setdefault(p, {})
+        if _acceptance(child) in ACCEPTED:
+            forms[canonicalize(child)] = child.is_connected()
+    for p, forms in reference.items():
+        for connected in (False, True):
+            grown = [canonicalize(_extend_by_maximal(p, mask)) for mask in _grow_task(p, connected)]
+            assert len(set(grown)) == len(grown), p.covers
+            assert set(grown) == {form for form, joined in forms.items()
+                                  if joined or not connected}, (p.covers, connected)
 
 
 @pytest.mark.parametrize("connected", [False, True], ids=["all", "connected"])
@@ -277,50 +321,113 @@ def test_grow_task_loses_no_class(connected):
         assert grown == children[n], n
 
 
-def _forms_of_built_children(p, connected):
-    """What ``_grow_task`` returns, from children built and canonicalized
-    whole, the rule read off each child's own keys."""
-    components = p.components() if connected else ()
-    firsts = {}
-    for mask in _orbit_ideal_masks(p):
-        child = _extend_by_maximal(p, mask)
-        if all(mask & c for c in components) and _new_element_leads(child):
-            firsts.setdefault(canonicalize(child), mask)
-    return list(firsts.items())
+@pytest.mark.parametrize("connected", [False, True], ids=["all", "connected"])
+def test_each_class_is_accepted_once(connected):
+    # a form dict over every child growth tries, from every parent of a
+    # level, holds exactly the classes growth accepts, and none twice
+    *lower, _ = poset_levels(7)
+    for n, parents in enumerate(lower, start=2):
+        tried = set()
+        for p in parents:
+            components = p.components() if connected else ()
+            tried.update(canonicalize(_extend_by_maximal(p, mask)) for mask in _orbit_ideal_masks(p)
+                         if all(mask & c for c in components))
+        accepted = [canonicalize(p) for p in generate_posets(n, connected=connected).entries]
+        assert len(set(accepted)) == len(accepted) == len(tried), n
+        assert set(accepted) == tried, n
+
+
+def _test_parents():
+    """Every poset on at most 6 elements, and some wider ones: a child of an
+    8-element parent needs 4-bit key digits, one bit more than the parent's
+    own size would give; children of 9-element parents reach CANON_MAX_N and
+    fill the relation-digit table.  The last two parents grow the 4-element
+    crown beside the 6-element crown, whose five maximal elements refinement
+    leaves in one class of two orbits; no smaller child has such a class."""
+    k22 = ordinal_sum(antichain(2), antichain(2))
+    crown = Poset(6, [(0, 3), (1, 3), (1, 4), (2, 4), (2, 5), (0, 5)])
+    return [*(p for level in poset_levels(6) for p in level),
+            disjoint_union(k22, Poset(5, [(0, 3), (1, 3), (1, 4), (2, 4)])),
+            disjoint_union(LAMBDA, crown),
+            chain(8), chain(9), antichain(9),
+            ordinal_sum(antichain(4), chain(4)), ordinal_sum(chain(4), antichain(5)),
+            disjoint_union(chain(4), chain(4)), disjoint_union(chain(4), chain(5)),
+            ordinal_sum(antichain(2), ordinal_sum(chain(5), antichain(2))),
+            *(_random_poset(n, seed) for n in (8, 9) for seed in range(3))]
+
+
+def test_every_branch_of_the_acceptance_rule_runs():
+    # the parents of test_grow_task_forms_match_built_children take every
+    # branch of the rule between them
+    from collections import Counter
+
+    branches = Counter(_acceptance(_extend_by_maximal(p, mask))
+                       for p in _test_parents() for mask in _orbit_ideal_masks(p))
+    assert set(branches) == {"skip", "lead", "lower class", "twin class", "least", "not least"}
+    # swapping the two chains is an automorphism but no twin swap, so two
+    # tried ideals give one class and growth keeps the first
+    p = disjoint_union(chain(2), chain(2))
+    accepted = [mask for mask in _orbit_ideal_masks(p)
+                if _acceptance(_extend_by_maximal(p, mask)) in ACCEPTED]
+    assert len({canonicalize(_extend_by_maximal(p, mask)) for mask in accepted}) < len(accepted)
+    assert len(_grow_task(p, False)) < len(accepted)
+    assert _grow_task(p, False) == _accepted_masks(p, False)
 
 
 def test_grow_task_forms_match_built_children(monkeypatch):
+    # growth reads each child's refinement inputs off its parent; they must
+    # be those of the child built whole, and no child may be built
     import promotion_sorting.harness as harness
 
-    parents = [p for level in poset_levels(6) for p in level]
-    # a child of an 8-element parent needs 4-bit key digits, one bit more than
-    # the parent's own size would give; children of 9-element parents reach
-    # CANON_MAX_N and fill the relation-digit table
-    parents += [chain(8), chain(9), antichain(9),
-                ordinal_sum(antichain(4), chain(4)), ordinal_sum(chain(4), antichain(5)),
-                disjoint_union(chain(4), chain(4)), disjoint_union(chain(4), chain(5)),
-                ordinal_sum(antichain(2), ordinal_sum(chain(5), antichain(2))),
-                *(_random_poset(n, seed) for n in (8, 9) for seed in range(3))]
-    want = {(p, connected): _forms_of_built_children(p, connected)
-            for p in parents for connected in (False, True)}
+    want = {(p, connected): _accepted_masks(p, connected)
+            for p in _test_parents() for connected in (False, True)}
 
     def no_child(*args):
         raise AssertionError("growth built a child")
 
+    refined = []
+    monkeypatch.setattr(harness, "_refine", lambda *args: refined.append(args) or _refine(*args))
     monkeypatch.setattr(harness, "Poset", no_child)
     monkeypatch.setattr(harness, "_extend_by_maximal", no_child)
-    for (p, connected), pairs in want.items():
-        assert _grow_task(p, connected) == pairs, (p.covers, connected)
+    calls = {}
+    for (p, connected), masks in want.items():
+        refined.clear()
+        assert _grow_task(p, connected) == masks, (p.covers, connected)
+        calls[p, connected] = refined[:]
+    monkeypatch.undo()
+    children = 0
+    for (p, _), args in calls.items():
+        keys = _initial_keys(p, *_cover_lists(p.n, p.covers), _digit_width(p.n + 1))
+        seen = set()
+        for got in args:
+            if len(got[0]) == p.n:
+                assert got == (keys, *_cover_lists(p.n, p.covers), _digit_rows(p, p.n))
+                continue
+            # n's row holds a 2 in each column of its ideal
+            mask = sum(1 << q for q, digit in enumerate(got[3][-1]) if digit == 2)
+            child = _extend_by_maximal(p, mask)
+            cover_up, cover_down = _cover_lists(child.n, child.covers)
+            assert (list(map(list, got[1])), got[2], got[3]) == (
+                cover_up, cover_down, _digit_rows(child, child.n + 1)), (p.covers, mask)
+            # the first refinement of a child is from its initial keys; any
+            # later one individualizes a member of its refined classes
+            if mask not in seen:
+                seen.add(mask)
+                assert got[0] == _initial_keys(child, cover_up, cover_down,
+                                               _digit_width(child.n)), (p.covers, mask)
+                children += 1
+    assert children > 1000
 
 
 @pytest.mark.parametrize("n, connected, forms", [
-    pytest.param(7, False, 2656, id="7"),
-    pytest.param(7, True, 2211, id="7-connected"),
-    pytest.param(8, False, 21123, marks=pytest.mark.slow, id="8"),
-    pytest.param(8, True, 18378, marks=pytest.mark.slow, id="8-connected")])
+    pytest.param(7, False, 594, id="7"),
+    pytest.param(7, True, 473, id="7-connected"),
+    pytest.param(8, False, 4134, marks=pytest.mark.slow, id="8"),
+    pytest.param(8, True, 3447, marks=pytest.mark.slow, id="8-connected")])
 def test_forms_computed_per_catalog_are_pinned(monkeypatch, n, connected, forms):
-    # every canonical form, the seed's and each child's, is read off by
-    # _canonical_form once; growth must not compute more of them
+    # every canonical form growth takes, the seed's, each individualized
+    # one and each of a local dedup, is read off by _canonical_form once;
+    # growth must not compute more of them
     import promotion_sorting.harness as harness
 
     calls = []
@@ -469,18 +576,21 @@ def test_canonical_forms_match_the_reference():
 
 
 def test_generation_determinism_and_order():
-    a = generate_posets(4)
-    b = generate_posets(4)
+    # a catalog is in generation order, parents in order and each parent's
+    # masks increasing, so its codes increase
+    a = generate_posets(5)
+    b = generate_posets(5)
     keys = [canonicalize(p) for p in a.entries]
     assert keys == [canonicalize(p) for p in b.entries]
-    assert keys == sorted(keys)
+    assert list(a.entries.codes) == sorted(set(a.entries.codes)) == list(b.entries.codes)
 
 
 def test_canonical_bytes_and_catalog_order_are_pinned(capsys):
-    # the forms digest is as first computed: a change to the canonical-form
-    # search must leave it byte-identical; the catalog digests also pin each
-    # class's representative, its first child whose new element leads
-    forms = b"\n".join(canonicalize(p) for p in generate_posets(7).entries)
+    # the digest of the sorted forms is as first computed: a change to the
+    # canonical-form search must leave it byte-identical; the catalog digests
+    # also pin each class's representative, the child growth accepts, and
+    # the generation order
+    forms = b"\n".join(sorted(canonicalize(p) for p in generate_posets(7).entries))
     assert forms.count(b"\n") + 1 == 2045
     assert hashlib.sha256(forms).hexdigest() == (
         "e152587d1ae1e93b674fd67b452f5c59dced3ce2ab8df31dfe18a23539f0769c")
@@ -488,28 +598,38 @@ def test_canonical_bytes_and_catalog_order_are_pinned(capsys):
     out = capsys.readouterr().out
     assert len(out.splitlines()) == 318
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "dfc1cf92656b82f25a8b8b3040e2d2f2e4bde5e112aa8ab3d369f2a656ecb3ff")
+        "04106d4156be972442b66db59cbb040478bc7badf9e222f57a9a64a04f4a6ecf")
     assert main(["gen-posets", "--n", "7", "--connected"]) == 0
     out = capsys.readouterr().out
     assert len(out.splitlines()) == 1650
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "b5563de7a152856b031065499fb971b8c83c5abad64ddd275f7b310c0de79832")
+        "70ea773c2b32ff8438f075378bf051eb571f8a921d2cd6ef0f89bda306709aad")
 
 
 @pytest.mark.slow
 def test_connected_catalog_8_is_pinned(tmp_path):
-    # the classes and, for each, its first child whose new element leads
+    # the classes and, for each, the child growth accepts, in generation order
     path = tmp_path / "catalog8.jsonl"
     assert main(["gen-posets", "--n", "8", "--connected", "--out", str(path)]) == 0
     data = path.read_bytes()
     assert data.count(b"\n") == 14512
     assert hashlib.sha256(data).hexdigest() == (
-        "2c266bcb0c8bc712fc9c7fdfe3aa0b7bd935d7643075bf100b5186d2e017fcfc")
+        "eefc472dd1fcafa0179ac01ee386bf6ea08fbfc129780cde0b1e75417d02dd51")
 
 
 @pytest.mark.slow
 def test_connected_catalog_9_matches_oeis():
     assert len(generate_posets(9, connected=True, force=True, workers=2)) == 163341
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n, connected, count", [
+    pytest.param(8, False, ISO_CLASS_COUNTS[8], id="8"),
+    pytest.param(9, True, 163341, id="9-connected")])
+def test_catalog_forms_are_distinct(n, connected, count):
+    # a count alone would pass a duplicate beside a missing class
+    entries = generate_posets(n, connected=connected, force=True, workers=2).entries
+    assert len({canonicalize(p) for p in entries}) == len(entries) == count
 
 
 @pytest.mark.slow
